@@ -5,9 +5,10 @@ reconstruct), quadrature inspection (weights), the uncertainty table and
 per-function reports (table, uncertainty), kernel classification (classify),
 and the constant-certification suite (verify).
 
-Exit codes: 0 on success, 1 on domain or usage errors, 2 when verification
-finds a constant out of tolerance.  Output is deterministic: fixed float
-formatting and fixed iteration orders throughout.
+Exit codes: 0 on success, 1 on domain, arithmetic, memory or usage errors
+(one `error:` line, no traceback), 2 when verification finds a constant out
+of tolerance.  Output is deterministic: fixed float formatting and fixed
+iteration orders throughout.
 """
 
 from __future__ import annotations
@@ -288,7 +289,9 @@ def run(argv: list[str] | None = None) -> int:
         os.environ[_NODE_CAP_ENV] = str(args.node_cap)
     try:
         return _HANDLERS[args.subcommand](args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ArithmeticError, MemoryError) as exc:
+        # ArithmeticError covers OverflowError, e.g. a factorial too large
+        # for a float in the weights of a huge sine power
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

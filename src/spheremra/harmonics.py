@@ -21,7 +21,6 @@ from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
-from scipy.special import gammaln
 
 from .specfun import GegenbauerParams, gegenbauer_norm_1d, gegenbauer_table
 
@@ -179,10 +178,8 @@ def _indices_tuple(n: int, max_degree: int) -> tuple[HarmonicIndex, ...]:
     out: list[HarmonicIndex] = []
     for l in range(max_degree + 1):
         for chain in _chains(l, n - 1):
-            if chain[-1] == 0:
-                out.append(HarmonicIndex(l, chain, 1))
-            else:
-                out.append(HarmonicIndex(l, chain, 1))
+            out.append(HarmonicIndex(l, chain, 1))
+            if chain[-1]:
                 out.append(HarmonicIndex(l, chain, -1))
     return tuple(out)
 

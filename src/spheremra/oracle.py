@@ -2,9 +2,11 @@
 
 Everything here is deliberately naive: composite Simpson integration over the
 polar-coordinate box (never the equiangular quadrature rules or the discrete
-transforms), and Gegenbauer values from the exact rational expansion of the
-generating function (never the recurrence).  Accuracy comes from resolution,
-and self-consistency is checked by comparing two resolutions.
+transforms), Gegenbauer values from the exact rational expansion of the
+generating function (never the recurrence), and a dense harmonic basis on the
+grid nodes built one harmonic at a time (never the separable transform).
+Accuracy comes from resolution, and self-consistency is checked by comparing
+two resolutions.
 
 Integrand callables receive one array per angle (theta_1, ..., theta_{n-1},
 phi), shaped for broadcasting over the tensor grid, and must return a
@@ -26,9 +28,11 @@ from .harmonics import (
     SphericalPoint,
     axis_profile,
     azimuth_profile,
+    enumerate_indices,
     normalization_constant,
     total_measure,
 )
+from .quadrature import grid_axes
 
 __all__ = [
     "IntegrationSpec",
@@ -39,6 +43,7 @@ __all__ = [
     "zonal_inner_product",
     "zonal_convolution",
     "brute_fourier",
+    "grid_basis",
     "generating_function_gegenbauer",
 ]
 
@@ -211,6 +216,32 @@ def brute_fourier(f, index: HarmonicIndex, spec: IntegrationSpec) -> complex:
         return const * value
 
     return dense_integral(integrand, spec) / geometry.measure
+
+
+def grid_basis(
+    geometry: SphereGeometry, j_grid: int, max_degree: int
+) -> tuple[list[HarmonicIndex], np.ndarray]:
+    """Dense matrix B[i, node] = Y_i at the nodes of N_{j_grid} (grid order),
+    for every index of degree <= max_degree in enumeration order.
+
+    Each row is the product of the per-angle profiles times A_l^k, so the
+    matrix holds dim Pi_max_degree x grid_size complex values: use it on
+    small levels only.  The node-cap guard in grid_axes runs first.
+    """
+    thetas, phis = grid_axes(geometry, j_grid)
+    indices = enumerate_indices(geometry, max_degree)
+    n = geometry.n
+    operands = []
+    for nu in range(1, n):
+        operands.append(
+            np.vstack([axis_profile(geometry, ix, nu, thetas[nu - 1]) for ix in indices])
+        )
+    norms = np.array([normalization_constant(geometry, ix) for ix in indices])
+    operands.append(norms[:, None] * np.vstack([azimuth_profile(ix, phis) for ix in indices]))
+    letters = "abcdefgh"
+    script = ",".join("i" + letters[ax] for ax in range(n))
+    matrix = np.einsum(f"{script}->i{letters[:n]}", *operands)
+    return indices, matrix.reshape(len(indices), -1)
 
 
 def generating_function_gegenbauer(lam: float, degree: int, t: float, cap: int = 64) -> float:

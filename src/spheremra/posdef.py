@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 from scipy.linalg import eigh
 
-from .harmonics import SphericalPoint, dot
+from .harmonics import SphericalPoint
 from .specfun import ZonalSpectrum, zonal_eval
 
 __all__ = ["PdClassification", "classify", "gramian_min_eigenvalue"]
@@ -70,10 +70,9 @@ def gramian_min_eigenvalue(spec: ZonalSpectrum, points: Sequence[SphericalPoint]
         )
     if np.max(np.abs(spec.coeffs.imag)) > _COEFF_TOL:
         raise ValueError("Gramian analysis needs a real zonal kernel")
-    size = len(points)
-    gram = np.empty((size, size))
-    for i in range(size):
-        for k in range(i, size):
-            value = zonal_eval(spec, dot(points[i], points[k]))
-            gram[i, k] = gram[k, i] = value.real
+    if any(p.n != points[0].n for p in points):
+        raise ValueError("points live on different spheres")
+    coords = np.array([p.cartesian() for p in points])
+    dots = np.clip(coords @ coords.T, -1.0, 1.0)
+    gram = np.real(zonal_eval(spec, dots))
     return float(eigh(gram, eigvals_only=True)[0])

@@ -44,7 +44,7 @@ from .mra import (
     wavelet_synthesis_constant,
     synthesis_constant,
 )
-from .oracle import zonal_integral, zonal_inner_product
+from .oracle import grid_basis, zonal_integral, zonal_inner_product
 from .quadrature import level_weights
 from .uncertainty import phi_m_variances, round_half_away
 from . import mra
@@ -133,7 +133,7 @@ def _random_points(
 
 def _analysis_record(geometry: SphereGeometry, j: int, tol: float) -> CertRecord:
     """Weighted Gram matrix of the I_j harmonics on N_j must be (1/c) I."""
-    indices, basis = mra._basis_on_grid(geometry.n, j, space_degree_bound(j))
+    indices, basis = grid_basis(geometry, j, space_degree_bound(j))
     w = level_weights(geometry, j)
     gram = (basis.conj() * w) @ basis.T
     expected = analysis_constant(geometry, j)

@@ -170,6 +170,15 @@ def test_malformed_input_exits_one(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_arithmetic_errors_exit_one_without_traceback(capsys):
+    # alpha! overflows a float inside the rule's prefactor
+    assert run(["weights", "--M", "16", "--alpha", "400"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_node_cap_flag(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv(_NODE_CAP_ENV, "10000000")
     spec = tmp_path / "spec.json"

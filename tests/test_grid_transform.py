@@ -1,0 +1,83 @@
+"""The separable grid transform (FFT over phi, one table per polar axis)
+against the dense reference basis, at levels the dense basis cannot reach,
+and behind the node-cap guard."""
+
+import numpy as np
+import pytest
+
+from spheremra import mra
+from spheremra.harmonics import SphereGeometry
+from spheremra.mra import (
+    GridSignal,
+    Spectrum,
+    analysis_constant,
+    analyze,
+    space_degree_bound,
+    space_indices,
+    synthesize_on_grid,
+)
+from spheremra.oracle import grid_basis
+from spheremra.quadrature import _NODE_CAP_ENV, grid_size, level_weights
+
+# every level the dense basis reaches on this scale of machine
+LADDER = [(n, j) for n, top in [(2, 6), (3, 4), (4, 3), (5, 2)] for j in range(1, top + 1)]
+
+
+def random_coeffs(geometry, j, rng):
+    size = len(space_indices(geometry, j))
+    return rng.normal(size=size) + 1j * rng.normal(size=size)
+
+
+def max_rel_error(got, ref):
+    return float(np.max(np.abs(got - ref))) / max(1.0, float(np.max(np.abs(ref))))
+
+
+@pytest.mark.parametrize("n,j", LADDER)
+def test_synthesis_matches_dense_basis(n, j):
+    geometry = SphereGeometry(n)
+    rng = np.random.default_rng(100 * n + j)
+    coeffs = random_coeffs(geometry, j, rng)
+    spectrum = Spectrum(geometry, j, dict(zip(space_indices(geometry, j), coeffs.tolist())))
+    # the coarsest grid folds azimuthal frequencies once j >= 3
+    for j_grid in sorted({j, j + 1, max(1, j - 2)}):
+        _, basis = grid_basis(geometry, j_grid, space_degree_bound(j))
+        got = synthesize_on_grid(spectrum, j_grid).values
+        assert max_rel_error(got, coeffs @ basis) <= 1e-12, j_grid
+
+
+@pytest.mark.parametrize("n,j", LADDER)
+def test_analysis_matches_dense_basis(n, j):
+    geometry = SphereGeometry(n)
+    rng = np.random.default_rng(200 * n + j)
+    size = grid_size(geometry, j)
+    # arbitrary samples, not a V_j function, so the adjoint is tested in full
+    values = rng.normal(size=size) + 1j * rng.normal(size=size)
+    indices, basis = grid_basis(geometry, j, space_degree_bound(j))
+    ref = analysis_constant(geometry, j) * (basis.conj() @ (level_weights(geometry, j) * values))
+    got = analyze(GridSignal(geometry, j, values)).vector(indices)
+    assert max_rel_error(got, ref) <= 1e-12
+
+
+@pytest.mark.parametrize("n,j", [(2, 8), (3, 6)])
+def test_round_trip_beyond_the_dense_basis(n, j):
+    geometry = SphereGeometry(n)
+    rng = np.random.default_rng(300 * n + j)
+    coeffs = random_coeffs(geometry, j, rng)
+    indices = space_indices(geometry, j)
+    spectrum = Spectrum(geometry, j, dict(zip(indices, coeffs.tolist())))
+    back = analyze(synthesize_on_grid(spectrum, j)).vector(indices)
+    assert max_rel_error(back, coeffs) <= 1e-10
+
+
+def test_node_cap_fires_before_any_table(monkeypatch):
+    geometry = SphereGeometry(2)
+    signal = GridSignal(geometry, 3, np.ones(grid_size(geometry, 3)))
+    spectrum = Spectrum(geometry, 2, {space_indices(geometry, 2)[0]: 1.0})
+    mra._polar_tables_cached.cache_clear()
+    before = mra._polar_tables_cached.cache_info()
+    monkeypatch.setenv(_NODE_CAP_ENV, "100")
+    with pytest.raises(ValueError, match="cap"):
+        analyze(signal)
+    with pytest.raises(ValueError, match="cap"):
+        synthesize_on_grid(spectrum, 3)
+    assert mra._polar_tables_cached.cache_info() == before
