@@ -17,7 +17,6 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 from .formats import (
     format_float,
@@ -36,7 +35,7 @@ from .transform import pyramid_decompose, pyramid_reconstruct
 from .uncertainty import uncertainty_product, uncertainty_table
 from .verify import certify, format_report
 
-__all__ = ["CommandConfig", "run", "main"]
+__all__ = ["run", "main"]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -46,19 +45,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-@dataclass(frozen=True)
-class CommandConfig:
-    """Validated invocation: which subcommand, its paths, and its numbers."""
-
-    subcommand: str
-    in_path: str | None = None
-    out_path: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.in_path is not None and self.in_path == self.out_path:
-            raise ValueError("input and output paths must differ")
 
 
 def _int_list(text: str) -> list[int]:
@@ -163,34 +149,38 @@ def _cmd_weights(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
-    CommandConfig("analyze", args.in_path, args.out_path)
-    spectrum = analyze(signal_from_json(_read(args.in_path)))
-    _emit(spectrum_to_json(spectrum) + "\n", args.out_path)
+def _convert(args: argparse.Namespace, read, convert, write) -> int:
+    """The file-to-file commands: read --in, convert, write --out."""
+    if args.in_path == args.out_path:
+        raise ValueError("input and output paths must differ")
+    _emit(write(convert(read(_read(args.in_path)))) + "\n", args.out_path)
     return 0
+
+
+def _cmd_analyze(args: argparse.Namespace) -> int:
+    return _convert(args, signal_from_json, analyze, spectrum_to_json)
 
 
 def _cmd_synthesize(args: argparse.Namespace) -> int:
-    CommandConfig("synthesize", args.in_path, args.out_path)
-    spectrum = spectrum_from_json(_read(args.in_path))
-    signal = synthesize_on_grid(spectrum, args.grid)
-    _emit(signal_to_json(signal) + "\n", args.out_path)
-    return 0
+    return _convert(
+        args,
+        spectrum_from_json,
+        lambda spectrum: synthesize_on_grid(spectrum, args.grid),
+        signal_to_json,
+    )
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
-    CommandConfig("decompose", args.in_path, args.out_path)
-    signal = signal_from_json(_read(args.in_path))
-    pyramid = pyramid_decompose(signal, args.levels)
-    _emit(pyramid_to_json(pyramid) + "\n", args.out_path)
-    return 0
+    return _convert(
+        args,
+        signal_from_json,
+        lambda signal: pyramid_decompose(signal, args.levels),
+        pyramid_to_json,
+    )
 
 
 def _cmd_reconstruct(args: argparse.Namespace) -> int:
-    CommandConfig("reconstruct", args.in_path, args.out_path)
-    pyramid = pyramid_from_json(_read(args.in_path))
-    _emit(signal_to_json(pyramid_reconstruct(pyramid)) + "\n", args.out_path)
-    return 0
+    return _convert(args, pyramid_from_json, pyramid_reconstruct, signal_to_json)
 
 
 def _cmd_table(args: argparse.Namespace) -> int:

@@ -2,7 +2,8 @@
 
 Writers are hand-rolled so every float is emitted with %.17g (lossless
 round-trip, byte-identical reruns); readers accept anything json.loads
-produces for those documents.
+produces for those documents, except non-finite numbers (NaN, Infinity and
+literals that overflow a float), which raise ValueError.
 
     GridSignal    {"n": 2, "j": 3, "values": [[re, im], ...]}   grid order
     Spectrum      {"n": 2, "j": 3, "entries": [{"l": 0, "k": [0], "sign": 1,
@@ -14,6 +15,7 @@ produces for those documents.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -37,6 +39,17 @@ __all__ = [
 
 def format_float(value: float) -> str:
     return format(float(value), ".17g")
+
+
+def _finite_float(token: str) -> float:
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {token} in input")
+    return value
+
+
+def _loads(text: str):
+    return json.loads(text, parse_float=_finite_float, parse_constant=_finite_float)
 
 
 def _pair_rows(values: np.ndarray, indent: str) -> str:
@@ -69,7 +82,7 @@ def _signal_from_obj(obj: dict) -> GridSignal:
 
 
 def signal_from_json(text: str) -> GridSignal:
-    return _signal_from_obj(json.loads(text))
+    return _signal_from_obj(_loads(text))
 
 
 def spectrum_to_json(spectrum: Spectrum) -> str:
@@ -94,7 +107,7 @@ def spectrum_to_json(spectrum: Spectrum) -> str:
 
 
 def spectrum_from_json(text: str) -> Spectrum:
-    obj = json.loads(text)
+    obj = _loads(text)
     try:
         n, j = int(obj["n"]), int(obj["j"])
         entries: dict[HarmonicIndex, complex] = {}
@@ -125,7 +138,7 @@ def pyramid_to_json(pyramid: Pyramid) -> str:
 
 
 def pyramid_from_json(text: str) -> Pyramid:
-    obj = json.loads(text)
+    obj = _loads(text)
     try:
         base = _signal_from_obj(obj["base"])
         details = [_signal_from_obj(item) for item in obj["details"]]
@@ -147,7 +160,7 @@ def zonal_to_json(spec: ZonalSpectrum) -> str:
 
 
 def zonal_from_json(text: str) -> ZonalSpectrum:
-    obj = json.loads(text)
+    obj = _loads(text)
     try:
         lam = float(obj["lambda"])
         coeffs = np.array([complex(re, im) for re, im in obj["coeffs"]])

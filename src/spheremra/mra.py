@@ -18,9 +18,16 @@ analysis is an FFT over the 2M azimuth nodes (M = 2^j), then the quadrature
 weights, then one contraction per polar axis from theta_(n-1) down to
 theta_1 against a cached table of normalised factors
 C_(k_(nu-1)-k_nu)^(lam_nu)(cos theta) sin^(k_nu)(theta) / sqrt(h).  Synthesis
-runs the same steps in reverse.  That costs O(M^(n+1)) time and
+runs the same steps in reverse; its azimuthal frequencies are assigned (not
+accumulated) onto distinct bins of the smallest period 2M 2^r that holds
+them, and the inverse FFT keeps every 2^r-th node, so a coarse grid gets
+exact point samples.  That costs O(M^(n+1)) time and
 (n-1) (M/2)^2 (M+1) table entries, in place of a dense (dim V_j) x (grid
 nodes) basis of O(M^(2n)) bytes (136 MB at S^2 j=6, 34 GB at j=8).
+
+The cores analyze_coeffs and synthesize_coeffs work on coefficient vectors
+in enumeration order; analyze and synthesize_on_grid wrap them in a
+Spectrum at the public boundary.
 """
 
 from __future__ import annotations
@@ -44,7 +51,7 @@ from .harmonics import (
     enumerate_indices,
     normalization_constant,
 )
-from .quadrature import grid_axes, grid_shape, grid_size, level_weights
+from .quadrature import checked_grid_shape, grid_axes, grid_size, level_weights
 from .specfun import GegenbauerParams, ZonalSpectrum, gegenbauer_norm_1d, zonal_eval
 
 __all__ = [
@@ -58,7 +65,9 @@ __all__ = [
     "space_degree_bound",
     "space_indices",
     "analyze",
+    "analyze_coeffs",
     "synthesize",
+    "synthesize_coeffs",
     "synthesize_on_grid",
     "scaling_spectrum",
     "wavelet_spectrum",
@@ -221,11 +230,13 @@ def _axis_table(base_order: float, max_degree: int, thetas: np.ndarray) -> np.nd
     return table
 
 
-def _polar_tables(n: int, j_grid: int, max_degree: int) -> tuple[np.ndarray, ...]:
-    # grid_axes holds the node-cap guard; run it outside the cache so tables
-    # built under a generous cap cannot dodge a later, tighter one
-    grid_axes(SphereGeometry(n), j_grid)
-    return _polar_tables_cached(n, j_grid, max_degree)
+def _polar_tables(
+    geometry: SphereGeometry, j_grid: int, max_degree: int
+) -> tuple[tuple[int, ...], tuple[np.ndarray, ...]]:
+    """The grid shape and the polar tables, with the node-cap guard run
+    before and outside the table cache."""
+    shape = checked_grid_shape(geometry, j_grid)
+    return shape, _polar_tables_cached(geometry.n, j_grid, max_degree)
 
 
 @lru_cache(maxsize=32)
@@ -302,8 +313,8 @@ def _basis_at_points(
 # ---------------------------------------------------------------------------
 # analysis and synthesis
 
-def analyze(signal: GridSignal) -> Spectrum:
-    """Fourier coefficients on I_j from level-j samples.
+def analyze_coeffs(signal: GridSignal) -> np.ndarray:
+    """Fourier coefficients on I_j from level-j samples, in enumeration order.
 
     Exact (to rounding) whenever the samples come from a V_j function: the
     product of any two I_j harmonics stays within the degree range the
@@ -311,8 +322,7 @@ def analyze(signal: GridSignal) -> Spectrum:
     """
     geometry, j = signal.geometry, signal.j
     n, max_degree = geometry.n, space_degree_bound(j)
-    tables = _polar_tables(n, j, max_degree)
-    shape = grid_shape(geometry, j)
+    shape, tables = _polar_tables(geometry, j, max_degree)
     weighted = (level_weights(geometry, j) * signal.values).reshape(shape)
     # axes (s_1, ..., s_(n-1), k_(n-1), sign) after the azimuthal FFT
     dense = np.fft.fft(weighted, axis=-1)[..., _azimuth_bins(max_degree, shape[-1])]
@@ -324,8 +334,14 @@ def analyze(signal: GridSignal) -> Spectrum:
             lead + (max_degree + 1,) + dense.shape[nu:]
         )
     scale = analysis_constant(geometry, j) * _harmonic_scale(geometry)
-    coeffs = scale * dense.ravel()[_dense_positions(n, max_degree)]
-    return Spectrum(geometry, j, dict(zip(space_indices(geometry, j), coeffs.tolist())))
+    return scale * dense.ravel()[_dense_positions(n, max_degree)]
+
+
+def analyze(signal: GridSignal) -> Spectrum:
+    """analyze_coeffs as a Spectrum on I_j."""
+    coeffs = analyze_coeffs(signal)
+    indices = space_indices(signal.geometry, signal.j)
+    return Spectrum(signal.geometry, signal.j, dict(zip(indices, coeffs.tolist())))
 
 
 def synthesize(spectrum: Spectrum, points) -> complex | np.ndarray:
@@ -340,20 +356,28 @@ def synthesize(spectrum: Spectrum, points) -> complex | np.ndarray:
     return complex(values[0]) if single else values
 
 
-def synthesize_on_grid(spectrum: Spectrum, j_grid: int) -> GridSignal:
-    """Evaluate the spectrum at every node of N_{j_grid}.
+def synthesize_coeffs(
+    geometry: SphereGeometry, j_spec: int, coeffs: np.ndarray, j_grid: int
+) -> GridSignal:
+    """Evaluate the level-j_spec coefficients (I_(j_spec) in enumeration
+    order) at every node of N_{j_grid}.
 
-    On a grid too coarse to carry every azimuthal frequency the frequencies
-    fold modulo the node count, which is exactly point sampling.
+    On a grid too coarse to carry every azimuthal frequency this is exact
+    point sampling: the frequencies go onto the smallest period 2M 2^r that
+    holds them without collisions, and the inverse FFT keeps every 2^r-th
+    node.
     """
-    geometry = spectrum.geometry
-    n, max_degree = geometry.n, space_degree_bound(spectrum.j)
-    tables = _polar_tables(n, j_grid, max_degree)
-    shape = grid_shape(geometry, j_grid)
+    n, max_degree = geometry.n, space_degree_bound(j_spec)
+    positions = _dense_positions(n, max_degree)
+    if len(coeffs) != len(positions):
+        raise ValueError(
+            f"level-{j_spec} spectrum on S^{n} has {len(positions)} coefficients, "
+            f"got {len(coeffs)}"
+        )
+    shape, tables = _polar_tables(geometry, j_grid, max_degree)
     size = max_degree + 1
     dense = np.zeros(2 * size**n, dtype=complex)
-    indices = space_indices(geometry, spectrum.j)
-    dense[_dense_positions(n, max_degree)] = _harmonic_scale(geometry) * spectrum.vector(indices)
+    dense[positions] = _harmonic_scale(geometry) * coeffs
     dense = dense.reshape((size,) * n + (2,))
     for nu in range(1, n):
         # expand k_(nu-1) into s_nu: (.., k_(nu-1), k_nu, ..) -> (.., s_nu, k_nu, ..)
@@ -362,13 +386,24 @@ def synthesize_on_grid(spectrum: Spectrum, j_grid: int) -> GridSignal:
         dense = _contract(tables[nu - 1], flat, transpose=True).reshape(
             lead + (shape[nu - 1],) + dense.shape[nu:]
         )
-    # scatter (k_(n-1), sign) onto the azimuthal bins, then the inverse FFT
-    bins = _azimuth_bins(max_degree, shape[-1]).ravel()
+    # assign (k_(n-1), sign) onto distinct azimuthal bins, without the
+    # always-zero slot (k = 0, sign -1), then the inverse FFT
+    nodes = shape[-1]
+    stride = 1
+    while stride * nodes < 2 * size:
+        stride *= 2
     rows = dense.reshape(-1, 2 * size)
-    spectra = np.zeros((rows.shape[0], shape[-1]), dtype=complex)
-    np.add.at(spectra.T, bins, rows.T)
-    values = np.fft.ifft(spectra, axis=-1, norm="forward")
+    spectra = np.zeros((rows.shape[0], stride * nodes), dtype=complex)
+    spectra[:, 0] = rows[:, 0]
+    spectra[:, _azimuth_bins(max_degree, stride * nodes).ravel()[2:]] = rows[:, 2:]
+    values = np.fft.ifft(spectra, axis=-1, norm="forward")[:, ::stride]
     return GridSignal(geometry, j_grid, values.ravel())
+
+
+def synthesize_on_grid(spectrum: Spectrum, j_grid: int) -> GridSignal:
+    """Evaluate the spectrum at every node of N_{j_grid} (see synthesize_coeffs)."""
+    indices = space_indices(spectrum.geometry, spectrum.j)
+    return synthesize_coeffs(spectrum.geometry, spectrum.j, spectrum.vector(indices), j_grid)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .harmonics import SphericalPoint
 from .specfun import ZonalSpectrum, zonal_eval
@@ -75,4 +74,4 @@ def gramian_min_eigenvalue(spec: ZonalSpectrum, points: Sequence[SphericalPoint]
     coords = np.array([p.cartesian() for p in points])
     dots = np.clip(coords @ coords.T, -1.0, 1.0)
     gram = np.real(zonal_eval(spec, dots))
-    return float(eigh(gram, eigvals_only=True)[0])
+    return float(np.linalg.eigvalsh(gram)[0])

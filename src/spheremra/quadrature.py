@@ -10,7 +10,15 @@ a polynomial of degree <= M.  Its weights are
               / (Gamma(alpha/2 - mu + 1) Gamma(alpha/2 + mu + 1)),
 
 with eps_k = 1/2 at k in {0, M} and 1 otherwise; reciprocal-gamma factors at
-pole arguments are zero, which silently drops those summands.  Tensor products
+pole arguments are zero, which silently drops those summands.  For odd alpha
+the two reciprocal gammas overflow and underflow together once mu passes
+about 170; those summands come from the reflection formula, with
+x = mu - alpha/2,
+
+    1 / (Gamma(alpha/2 - mu + 1) Gamma(alpha/2 + mu + 1))
+        = (-1)^((alpha+1)/2 - mu) / (pi x (x+1) ... (x+alpha)),
+
+which keeps every weight finite.  Tensor products
 of these rules over the polar axes (alpha = n - nu on axis nu) together with
 the uniform azimuthal sum make up the level-j grids N_j.
 """
@@ -37,6 +45,7 @@ __all__ = [
     "dct_i",
     "grid_shape",
     "grid_axes",
+    "checked_grid_shape",
     "grid_size",
     "grid_nodes",
     "level_weight",
@@ -62,21 +71,53 @@ def _eps(k: int, order: int) -> float:
     return 0.5 if k == 0 or k == order else 1.0
 
 
+def _reflected_tail(alpha: int, nus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lost, tail): lost marks the nu where the plain product of reciprocal
+    gammas fails, and tail holds (-1)^nu / (Gamma(alpha/2 - nu + 1)
+    Gamma(alpha/2 + nu + 1)) at those nu.
+
+    That happens only for odd alpha, once the second factor leaves the normal
+    float range (the product then loses digits, or turns inf * 0); for even
+    alpha the first factor sits on a pole there and the product is exactly
+    zero.  For odd alpha and x = nu - alpha/2 > 0 the reflection formula
+    turns the value into (-1)^((alpha+1)/2) Gamma(x) / (pi Gamma(x + alpha + 1))
+    = (-1)^((alpha+1)/2) / (pi x (x+1) ... (x+alpha)), a product of alpha + 1
+    factors that is accurate to a few ulps.
+    """
+    lost = bool(alpha % 2) & (np.abs(rgamma(alpha / 2.0 + nus + 1.0)) < np.finfo(float).tiny)
+    sign = -1.0 if (alpha + 1) // 2 % 2 else 1.0
+    x = nus[lost] - alpha / 2.0
+    with np.errstate(over="ignore"):  # an overflowing product is a zero term
+        rising = np.prod(x[:, None] + np.arange(alpha + 1), axis=1)
+    return lost, sign / (math.pi * rising)
+
+
+def _rule_series(order: int, alpha: int) -> np.ndarray:
+    """eps_{2 mu} (-1)^mu / (Gamma(alpha/2 - mu + 1) Gamma(alpha/2 + mu + 1))
+    for mu = 0..floor(M/2)."""
+    m = order
+    mus = np.arange(m // 2 + 1)
+    with np.errstate(invalid="ignore"):  # inf * 0 in the tail, replaced below
+        series = np.array(
+            [
+                _eps(2 * mu, m)
+                * (-1.0) ** mu
+                * rgamma(alpha / 2.0 - mu + 1.0)
+                * rgamma(alpha / 2.0 + mu + 1.0)
+                for mu in mus
+            ]
+        )
+    lost, tail = _reflected_tail(alpha, mus)
+    series[lost] = np.where(2 * mus[lost] == m, 0.5, 1.0) * tail
+    return series
+
+
 @lru_cache(maxsize=None)
 def _cached_rule(order: int, alpha: int) -> QuadratureRule:
     m = order
     u = np.arange(m + 1)
     mus = np.arange(m // 2 + 1)
-    # eps_{2 mu} (-1)^mu / (Gamma(alpha/2 - mu + 1) Gamma(alpha/2 + mu + 1))
-    series = np.array(
-        [
-            _eps(2 * mu, m)
-            * (-1.0) ** mu
-            * rgamma(alpha / 2.0 - mu + 1.0)
-            * rgamma(alpha / 2.0 + mu + 1.0)
-            for mu in mus
-        ]
-    )
+    series = _rule_series(m, alpha)
     cosines = np.cos(2.0 * np.pi * np.outer(u, mus) / m)
     omega = (math.pi * math.factorial(alpha) / (2.0 ** (alpha - 1) * m)) * (cosines @ series)
     eps_u = np.where((u == 0) | (u == m), 0.5, 1.0)
@@ -111,8 +152,8 @@ def single_frequency_integral(mu: int, alpha: int) -> float:
     """int_0^pi cos(mu theta) sin^alpha(theta) dtheta for integers mu >= 0, alpha >= 1.
 
     Equals pi alpha! cos(mu pi / 2) / (2^alpha Gamma((alpha-mu+2)/2)
-    Gamma((alpha+mu+2)/2)); zero for odd mu and for even mu > alpha.  The
-    parity factor cos(mu pi / 2) is applied exactly.
+    Gamma((alpha+mu+2)/2)); zero for odd mu, and for even mu > alpha when
+    alpha is even.  The parity factor cos(mu pi / 2) is applied exactly.
     """
     if mu < 0:
         raise ValueError(f"frequency must be nonnegative, got {mu}")
@@ -121,6 +162,9 @@ def single_frequency_integral(mu: int, alpha: int) -> float:
     if mu % 2:
         return 0.0
     sign = -1.0 if (mu // 2) % 2 else 1.0
+    lost, tail = _reflected_tail(alpha, np.array([mu // 2]))
+    if lost[0]:
+        return math.pi * math.factorial(alpha) / 2.0**alpha * float(tail[0])
     return (
         math.pi
         * math.factorial(alpha)
@@ -174,15 +218,23 @@ def grid_size(geometry: SphereGeometry, j: int) -> int:
     return math.prod(grid_shape(geometry, j))
 
 
-def grid_axes(geometry: SphereGeometry, j: int) -> tuple[list[np.ndarray], np.ndarray]:
-    """Polar node vectors (one per axis, all s pi / 2^j) and azimuth nodes t pi / 2^j."""
-    m = 2**j
+def checked_grid_shape(geometry: SphereGeometry, j: int) -> tuple[int, ...]:
+    """grid_shape, after the node-cap guard.  Everything that allocates per
+    node calls this first, outside any cache, so a result cached under a
+    generous cap cannot dodge a later, tighter one."""
     shape = grid_shape(geometry, j)
     if math.prod(shape) > node_cap():
         raise ValueError(
             f"level-{j} grid on S^{geometry.n} has {math.prod(shape)} nodes, "
             f"beyond the cap {node_cap()}; raise {_NODE_CAP_ENV} to override"
         )
+    return shape
+
+
+def grid_axes(geometry: SphereGeometry, j: int) -> tuple[list[np.ndarray], np.ndarray]:
+    """Polar node vectors (one per axis, all s pi / 2^j) and azimuth nodes t pi / 2^j."""
+    m = 2**j
+    checked_grid_shape(geometry, j)
     thetas = [np.arange(m + 1) * np.pi / m for _ in range(geometry.n - 1)]
     phis = np.arange(2 * m) * np.pi / m
     return thetas, phis
@@ -204,12 +256,7 @@ class GridNode:
 def grid_nodes(geometry: SphereGeometry, j: int) -> Iterator[GridNode]:
     """Nodes of N_j in deterministic order: polar indices vary slowest, the
     azimuth index fastest (C order of the (M+1)^(n-1) x 2M index box)."""
-    shape = grid_shape(geometry, j)
-    if math.prod(shape) > node_cap():
-        raise ValueError(
-            f"level-{j} grid on S^{geometry.n} has {math.prod(shape)} nodes, "
-            f"beyond the cap {node_cap()}; raise {_NODE_CAP_ENV} to override"
-        )
+    shape = checked_grid_shape(geometry, j)
     for multi in np.ndindex(*shape):
         yield GridNode(j, multi[:-1], multi[-1])
 
@@ -226,11 +273,18 @@ def level_weight(geometry: SphereGeometry, j: int, node: GridNode) -> float:
 
 
 def level_weights(geometry: SphereGeometry, j: int) -> np.ndarray:
-    """All chi products of N_j, flattened in grid_nodes order."""
+    """All chi products of N_j, flattened in grid_nodes order (read-only)."""
+    checked_grid_shape(geometry, j)
+    return _level_weights_cached(geometry, j)
+
+
+@lru_cache(maxsize=32)
+def _level_weights_cached(geometry: SphereGeometry, j: int) -> np.ndarray:
     shape = grid_shape(geometry, j)
     m = 2**j
     flat = np.ones(1)
     for nu in range(1, geometry.n):
         flat = np.outer(flat, make_rule(m, geometry.n - nu).weights).ravel()
     flat = np.repeat(flat, shape[-1])
+    flat.setflags(write=False)
     return flat

@@ -2,23 +2,29 @@
 
 A level-(j+1) sample vector of a V_{j+1} function splits into the samples of
 its V_j part (on the coarser grid N_j) and the samples of its W_j detail part
-(kept on N_{j+1}).  Both directions are implemented spectrally: analyze on the
-signal's own grid, select the band, evaluate on the target grid.  This is
-exact at every level; quadrature applied to fine-level data on a coarse grid
-is not, once cross-term degrees pass the coarse rule's range.
+(kept on N_{j+1}).  Both directions are spectral, on coefficient vectors:
+I_j is a prefix of the enumeration (it is ordered by degree), so the band of
+degrees (lo, hi] is the slice [dim Pi_lo, dim Pi_hi) of one vector.
+
+- Decomposition analyses once on the top grid, then synthesises the
+  degree-0 base on N_1 and each detail band i on N_{i+1}.
+- Reconstruction analyses the base and each detail on its own grid, keeps
+  each detail's own band (out-of-band content is dropped), sums the slices
+  into one vector and synthesises once on the top grid.
+
+An L-level round trip therefore costs 2L + 4 grid transforms.  This is exact
+at every level; quadrature applied to fine-level data on a coarse grid is
+not, once cross-term degrees pass the coarse rule's range.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .mra import (
-    GridSignal,
-    Spectrum,
-    analyze,
-    space_degree_bound,
-    synthesize_on_grid,
-)
+import numpy as np
+
+from .harmonics import SphereGeometry, dim_pi
+from .mra import GridSignal, analyze_coeffs, space_degree_bound, synthesize_coeffs
 
 __all__ = [
     "Pyramid",
@@ -53,47 +59,47 @@ class Pyramid:
         return len(self.details)
 
 
-def _split_spectrum(spectrum: Spectrum, j: int) -> tuple[Spectrum, Spectrum]:
-    """Split level-(j+1) coefficients into the I_j part and the W_j band."""
-    bound = space_degree_bound(j)
-    low = {ix: c for ix, c in spectrum.entries.items() if ix.l <= bound}
-    high = {ix: c for ix, c in spectrum.entries.items() if ix.l > bound}
-    return (
-        Spectrum(spectrum.geometry, j, low),
-        Spectrum(spectrum.geometry, j + 1, high),
-    )
+def _dim(geometry: SphereGeometry, j: int) -> int:
+    """dim V_j: the end of the I_j prefix of the enumeration."""
+    return dim_pi(geometry, space_degree_bound(j))
+
+
+def _band(geometry: SphereGeometry, coeffs: np.ndarray, j: int) -> GridSignal:
+    """Samples on N_{j+1} of the W_j band of coefficients that reach I_{j+1}."""
+    lo, hi = _dim(geometry, j), _dim(geometry, j + 1)
+    band = np.zeros(hi, dtype=complex)
+    band[lo:] = coeffs[lo:hi]
+    return synthesize_coeffs(geometry, j + 1, band, j + 1)
 
 
 def restrict(signal: GridSignal) -> GridSignal:
     """Samples of the V_j part of a level-(j+1) signal, on N_j."""
     if signal.j < 2:
         raise ValueError("cannot restrict below level 1")
-    low, _ = _split_spectrum(analyze(signal), signal.j - 1)
-    return synthesize_on_grid(low, signal.j - 1)
+    geometry, j = signal.geometry, signal.j - 1
+    coeffs = analyze_coeffs(signal)
+    return synthesize_coeffs(geometry, j, coeffs[: _dim(geometry, j)], j)
 
 
 def detail(signal: GridSignal) -> GridSignal:
     """Samples of the W_j part of a level-(j+1) signal, kept on N_{j+1}."""
     if signal.j < 2:
         raise ValueError("no detail below level 1")
-    _, high = _split_spectrum(analyze(signal), signal.j - 1)
-    return synthesize_on_grid(high, signal.j)
+    return _band(signal.geometry, analyze_coeffs(signal), signal.j - 1)
 
 
 def prolong_sum(v: GridSignal, w: GridSignal) -> GridSignal:
     """Level-(j+1) samples of v + w from V_j samples v (on N_j) and W_j
-    samples w (on N_{j+1})."""
+    samples w (on N_{j+1}); content of w outside the W_j band is dropped."""
     if w.j != v.j + 1:
         raise ValueError(
             f"detail must be sampled one level above the base: got {v.j} and {w.j}"
         )
     if v.geometry != w.geometry:
         raise ValueError("operands live on different spheres")
-    coarse = analyze(v)
-    _, high = _split_spectrum(analyze(w), v.j)
-    fine = synthesize_on_grid(coarse, w.j)
-    detail_part = synthesize_on_grid(high, w.j)
-    return GridSignal(v.geometry, w.j, fine.values + detail_part.values)
+    coeffs = analyze_coeffs(w)
+    coeffs[: _dim(v.geometry, v.j)] = analyze_coeffs(v)
+    return synthesize_coeffs(v.geometry, w.j, coeffs, w.j)
 
 
 def pyramid_decompose(signal: GridSignal, levels: int) -> Pyramid:
@@ -105,20 +111,19 @@ def pyramid_decompose(signal: GridSignal, levels: int) -> Pyramid:
             f"a {levels}-level pyramid starts from level {levels + 1} samples, "
             f"got level {signal.j}"
         )
-    details: list[GridSignal] = []
-    current = signal
-    for j in range(levels, 0, -1):
-        spectrum = analyze(current)
-        low, high = _split_spectrum(spectrum, j)
-        details.append(synthesize_on_grid(high, j + 1))
-        current = synthesize_on_grid(low, j)
-    details.reverse()
-    return Pyramid(base=current, details=details)
+    geometry = signal.geometry
+    coeffs = analyze_coeffs(signal)
+    base = synthesize_coeffs(geometry, 1, coeffs[: _dim(geometry, 1)], 1)
+    details = [_band(geometry, coeffs, j) for j in range(1, levels + 1)]
+    return Pyramid(base=base, details=details)
 
 
 def pyramid_reconstruct(pyramid: Pyramid) -> GridSignal:
     """Invert pyramid_decompose: returns level-(levels+1) samples."""
-    current = pyramid.base
-    for w in pyramid.details:
-        current = prolong_sum(current, w)
-    return current
+    geometry, top = pyramid.base.geometry, pyramid.levels + 1
+    coeffs = np.empty(_dim(geometry, top), dtype=complex)
+    coeffs[: _dim(geometry, 1)] = analyze_coeffs(pyramid.base)
+    for j, w in enumerate(pyramid.details, start=1):
+        lo, hi = _dim(geometry, j), _dim(geometry, j + 1)
+        coeffs[lo:hi] = analyze_coeffs(w)[lo:hi]
+    return synthesize_coeffs(geometry, top, coeffs, top)

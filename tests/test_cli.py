@@ -189,3 +189,40 @@ def test_node_cap_flag(tmp_path, capsys, monkeypatch):
     assert "error:" in capsys.readouterr().err
     assert run(["--node-cap", "0", "weights", "--M", "2", "--alpha", "1"]) == 1
     capsys.readouterr()
+
+
+
+def _documents(number):
+    """One small document per reader, holding `number` as one of its values."""
+    values = ", ".join([f"[{number}, 0]"] + ["[1, 0]"] * 11)  # the 12 nodes of N_1 on S^2
+    signal = f'{{"n": 2, "j": 1, "values": [{values}]}}'
+    return {
+        "signal": signal,
+        "spectrum": f'{{"n": 2, "j": 1, "entries": [{{"l": 0, "k": [0], "sign": 1, '
+        f'"re": {number}, "im": 0}}]}}',
+        "pyramid": f'{{"base": {signal}, "details": []}}',
+        "zonal": f'{{"lambda": 0.5, "coeffs": [[1, 0], [{number}, 0]]}}',
+    }
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+@pytest.mark.parametrize(
+    "reader,argv",
+    [
+        ("signal", ["analyze", "--out", "{out}"]),
+        ("spectrum", ["synthesize", "--grid", "1", "--out", "{out}"]),
+        ("pyramid", ["reconstruct", "--out", "{out}"]),
+        ("zonal", ["uncertainty"]),
+    ],
+)
+def test_non_finite_input_exits_one(tmp_path, capsys, reader, argv, literal):
+    path, out = tmp_path / "in.json", tmp_path / "out.json"
+    argv = [argv[0], "--in", str(path)] + [a.replace("{out}", str(out)) for a in argv[1:]]
+    path.write_text(_documents("0.5")[reader])
+    assert run(argv) == 0
+    capsys.readouterr()
+    path.write_text(_documents(literal)[reader])
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "non-finite" in err
+    assert err.count("\n") == 1

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import beta as beta_fn
 
+from spheremra import quadrature
 from spheremra.harmonics import SphereGeometry
 from spheremra.quadrature import (
     GridNode,
@@ -188,3 +189,47 @@ def test_rule_validation():
     node = GridNode(2, (0,), 0)
     with pytest.raises(ValueError):
         level_weight(geo, 1, node)  # node level does not match the grid level
+
+
+@pytest.mark.parametrize("alpha", [1, 3])
+def test_exactness_past_the_reciprocal_gamma_overflow(alpha):
+    """From M = 512 on, odd-alpha summands need the reflected tail; the rule
+    keeps the exactness the smaller orders have."""
+    test_monomial_exactness(1024, alpha)
+    test_cosine_frequency_exactness(1024, alpha)
+
+
+@pytest.mark.parametrize("mu", [2, 300, 342, 344, 1024, 2**14])
+def test_single_frequency_integral_in_the_reflected_tail(mu):
+    """Elementary closed forms for even mu: int_0^pi cos(mu theta) sin(k theta)
+    = 2k / (k^2 - mu^2) for odd k, so sin(theta) gives 2 / (1 - mu^2), and
+    sin^3 = (3 sin(theta) - sin(3 theta)) / 4 gives 12 / ((1 - mu^2)(9 - mu^2))."""
+    one = 2.0 / (1.0 - mu**2)
+    three = 12.0 / ((1.0 - mu**2) * (9.0 - mu**2))
+    assert single_frequency_integral(mu, 1) == pytest.approx(one, rel=1e-13)
+    assert single_frequency_integral(mu, 3) == pytest.approx(three, rel=1e-13)
+
+
+@pytest.mark.parametrize("alpha", range(1, 9))
+def test_weights_finite_for_large_orders(alpha):
+    # the rule's series (the only source of non-finite terms) up to M = 2^14;
+    # full rules only to 2^11, as the O(M^2) cosine matrix of a 2^14 rule
+    # takes 1 GB
+    for order in (2**9, 2**11, 2**14):
+        series = quadrature._rule_series(order, alpha)
+        assert np.all(np.isfinite(series))
+        assert math.isfinite(single_frequency_integral(order, alpha))
+    exact = beta_fn(0.5, (alpha + 1) / 2.0)  # int_0^pi sin^alpha
+    for order in (2**9, 2**11):
+        weights = make_rule(order, alpha).weights
+        assert np.all(np.isfinite(weights))
+        assert weights.sum() == pytest.approx(exact, rel=1e-14)
+
+
+def test_level_weights_are_read_only_and_cached():
+    geo = SphereGeometry(3)
+    flat = level_weights(geo, 2)
+    assert not flat.flags.writeable
+    with pytest.raises(ValueError):
+        flat[0] = 1.0
+    assert level_weights(geo, 2) is flat
