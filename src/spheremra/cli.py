@@ -18,6 +18,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from .formats import (
     format_float,
     pyramid_from_json,
@@ -278,7 +280,9 @@ def run(argv: list[str] | None = None) -> int:
             return 1
         os.environ[_NODE_CAP_ENV] = str(args.node_cap)
     try:
-        return _HANDLERS[args.subcommand](args)
+        # a non-finite result is reported once, by the writer's error line
+        with np.errstate(all="ignore"):
+            return _HANDLERS[args.subcommand](args)
     except (ValueError, OSError, ArithmeticError, MemoryError) as exc:
         # ArithmeticError covers OverflowError, e.g. a factorial too large
         # for a float in the weights of a huge sine power

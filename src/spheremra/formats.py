@@ -1,9 +1,11 @@
 """JSON wire formats for signals, spectra, pyramids, and zonal expansions.
 
 Writers are hand-rolled so every float is emitted with %.17g (lossless
-round-trip, byte-identical reruns); readers accept anything json.loads
-produces for those documents, except non-finite numbers (NaN, Infinity and
-literals that overflow a float), which raise ValueError.
+round-trip, byte-identical reruns) and refuse a non-finite value.  Readers
+accept anything json.loads produces for those documents, except non-finite
+numbers (NaN, Infinity and literals that overflow a float), pairs that are
+not an (N, 2) array of numbers, a repeated spectrum index and nesting too
+deep to parse; each raises ValueError.
 
     GridSignal    {"n": 2, "j": 3, "values": [[re, im], ...]}   grid order
     Spectrum      {"n": 2, "j": 3, "entries": [{"l": 0, "k": [0], "sign": 1,
@@ -38,7 +40,10 @@ __all__ = [
 
 
 def format_float(value: float) -> str:
-    return format(float(value), ".17g")
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {value} in the output")
+    return format(value, ".17g")
 
 
 def _finite_float(token: str) -> float:
@@ -49,7 +54,25 @@ def _finite_float(token: str) -> float:
 
 
 def _loads(text: str):
-    return json.loads(text, parse_float=_finite_float, parse_constant=_finite_float)
+    try:
+        return json.loads(text, parse_float=_finite_float, parse_constant=_finite_float)
+    except RecursionError as exc:
+        raise ValueError("input nests too deeply to parse") from exc
+
+
+def _complex_pairs(raw, name: str) -> np.ndarray:
+    """[[re, im], ...] as a complex vector.  Anything but an (N, 2) array of
+    numbers (number strings, null, ragged rows, integers too large for a
+    float) raises ValueError."""
+    try:
+        pairs = np.asarray(raw)
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise ValueError(f"{name} must be [re, im] pairs: {exc}") from exc
+    if pairs.shape == (0,):
+        pairs = pairs.reshape(0, 2)
+    if pairs.dtype.kind not in "biuf" or pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValueError(f"{name} must be an (N, 2) array of numbers")
+    return np.ascontiguousarray(pairs, dtype=float).view(complex).ravel()
 
 
 def _pair_rows(values: np.ndarray, indent: str) -> str:
@@ -77,8 +100,7 @@ def _signal_from_obj(obj: dict) -> GridSignal:
         n, j, raw = int(obj["n"]), int(obj["j"]), obj["values"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed signal document: {exc}") from exc
-    values = np.array([complex(re, im) for re, im in raw])
-    return GridSignal(SphereGeometry(n), j, values)
+    return GridSignal(SphereGeometry(n), j, _complex_pairs(raw, "values"))
 
 
 def signal_from_json(text: str) -> GridSignal:
@@ -113,8 +135,11 @@ def spectrum_from_json(text: str) -> Spectrum:
         entries: dict[HarmonicIndex, complex] = {}
         for row in obj["entries"]:
             index = HarmonicIndex(int(row["l"]), tuple(int(k) for k in row["k"]), int(row["sign"]))
+            if index in entries:
+                ks = list(index.chain)
+                raise ValueError(f"index l={index.l} k={ks} sign={index.sign} listed twice")
             entries[index] = complex(float(row["re"]), float(row["im"]))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed spectrum document: {exc}") from exc
     return Spectrum(SphereGeometry(n), j, entries)
 
@@ -163,7 +188,7 @@ def zonal_from_json(text: str) -> ZonalSpectrum:
     obj = _loads(text)
     try:
         lam = float(obj["lambda"])
-        coeffs = np.array([complex(re, im) for re, im in obj["coeffs"]])
+        coeffs = _complex_pairs(obj["coeffs"], "coeffs")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed zonal document: {exc}") from exc
     return ZonalSpectrum(lam, coeffs)

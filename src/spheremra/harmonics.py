@@ -133,35 +133,21 @@ def dot(x: SphericalPoint, y: SphericalPoint) -> float:
     return float(np.clip(np.dot(x.cartesian(), y.cartesian()), -1.0, 1.0))
 
 
-def _exact_ratio(numer: int, denom: int) -> int:
-    q, r = divmod(numer, denom)
-    if r:
-        raise ArithmeticError(f"{numer} not divisible by {denom}")
-    return q
-
-
 def harmonic_count(geometry: SphereGeometry, l: int) -> int:
-    """dim H_l(S^n) = (2l + n - 1)(l + n - 2)! / ((n-1)! l!), exactly."""
+    """dim H_l(S^n) = (2l + n - 1)(l + n - 2)! / ((n-1)! l!)
+    = dim Pi_l - dim Pi_(l-1), exactly."""
     if l < 0:
         raise ValueError(f"degree must be nonnegative, got {l}")
-    n = geometry.n
-    if l == 0:
-        return 1
-    return _exact_ratio(
-        (2 * l + n - 1) * math.factorial(l + n - 2),
-        math.factorial(n - 1) * math.factorial(l),
-    )
+    return dim_pi(geometry, l) - (dim_pi(geometry, l - 1) if l else 0)
 
 
 def dim_pi(geometry: SphereGeometry, m: int) -> int:
-    """dim Pi_m(S^n) = (n + 2m)(n + m - 1)! / (n! m!), exactly."""
+    """dim Pi_m(S^n) = (n + 2m)(n + m - 1)! / (n! m!)
+    = binom(n + m, n) + binom(n + m - 1, n), exactly, in O(n) products."""
     if m < 0:
         raise ValueError(f"max degree must be nonnegative, got {m}")
     n = geometry.n
-    return _exact_ratio(
-        (n + 2 * m) * math.factorial(n + m - 1),
-        math.factorial(n) * math.factorial(m),
-    )
+    return math.comb(n + m, n) + math.comb(n + m - 1, n)
 
 
 def _chains(top: int, length: int) -> Iterator[tuple[int, ...]]:

@@ -28,6 +28,12 @@ nodes) basis of O(M^(2n)) bytes (136 MB at S^2 j=6, 34 GB at j=8).
 The cores analyze_coeffs and synthesize_coeffs work on coefficient vectors
 in enumeration order; analyze and synthesize_on_grid wrap them in a
 Spectrum at the public boundary.
+
+phi_j and psi_j are one kernel over two degree bands, [0, 2^(j-1)) for V_j
+and [2^(j-1), 2^j) for W_j (sampled on N_{j+1}).  One band core,
+_degree_band and the _band_* functions, carries the spectrum, kernel, norm,
+constants, interpolatory synthesis and frame functional of both, and each
+public scaling_*/wavelet_* name is one call into it.
 """
 
 from __future__ import annotations
@@ -51,7 +57,9 @@ from .harmonics import (
     enumerate_indices,
     normalization_constant,
 )
-from .quadrature import checked_grid_shape, grid_axes, grid_size, level_weights
+from .quadrature import (
+    _NODE_CAP_ENV, checked_grid_shape, grid_axes, grid_size, level_weights, node_cap,
+)
 from .specfun import GegenbauerParams, ZonalSpectrum, gegenbauer_norm_1d, zonal_eval
 
 __all__ = [
@@ -112,8 +120,14 @@ class Spectrum:
     entries: dict[HarmonicIndex, complex] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.j < 1:
-            raise ValueError(f"level must be >= 1, got {self.j}")
+        # dim V_j >= 2^(j-1), so a level past the cap's bit length is refused
+        # before any integer of its size is formed
+        cap = node_cap()
+        if self.j > cap.bit_length() or dim_pi(self.geometry, space_degree_bound(self.j)) > cap:
+            raise ValueError(
+                f"level-{self.j} spectrum on S^{self.geometry.n} has more coefficients "
+                f"than the cap {cap}; raise {_NODE_CAP_ENV} to override"
+            )
         bound = space_degree_bound(self.j)
         for index in self.entries:
             if len(index.chain) != self.geometry.n - 1:
@@ -132,7 +146,7 @@ class Spectrum:
 
 @dataclass
 class GridSignal:
-    """Samples on the level-j grid N_j, flattened in grid_nodes order."""
+    """Samples on the level-j grid N_j, flattened in grid order."""
 
     geometry: SphereGeometry
     j: int
@@ -181,14 +195,12 @@ def frame_constant(geometry: SphereGeometry, j: int) -> float:
 
 def wavelet_synthesis_constant(geometry: SphereGeometry, j: int) -> float:
     """sqrt(2^((n-2)j - 2)) pi / Sigma_n for W_j synthesis from N_{j+1} samples."""
-    n = geometry.n
-    return math.sqrt(2.0 ** ((n - 2) * j - 2)) * math.pi / geometry.measure
+    return _band_constants(geometry, j, wavelet=True)[0]
 
 
 def wavelet_frame_constant(geometry: SphereGeometry, j: int) -> float:
     """2^((n-1)j - 1) pi / Sigma_n: tight-frame constant of the psi_j system."""
-    n = geometry.n
-    return 2.0 ** ((n - 1) * j - 1) * math.pi / geometry.measure
+    return _band_constants(geometry, j, wavelet=True)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -407,41 +419,73 @@ def synthesize_on_grid(spectrum: Spectrum, j_grid: int) -> GridSignal:
 
 
 # ---------------------------------------------------------------------------
+# the degree-band core: V_j and W_j are two bands of one zonal kernel
+
+def _degree_band(j: int, wavelet: bool) -> tuple[int, int]:
+    """Degrees [lo, hi) of V_j, [0, 2^(j-1)), or with `wavelet` of W_j,
+    [2^(j-1), 2^j).  W_j is sampled on N_{j+1}, one level above V_j."""
+    half = space_degree_bound(j) + 1
+    return (half, 2 * half) if wavelet else (0, half)
+
+
+def _band_slice(geometry: SphereGeometry, j: int, wavelet: bool) -> slice:
+    """Positions of the band's harmonics in enumeration order (which is
+    ordered by degree): [dim Pi_(lo-1), dim Pi_(hi-1))."""
+    lo, hi = _degree_band(j, wavelet)
+    return slice(dim_pi(geometry, lo - 1) if lo else 0, dim_pi(geometry, hi - 1))
+
+
+def _band_constants(geometry: SphereGeometry, j: int, wavelet: bool) -> tuple[float, float]:
+    """(synthesis, frame) constants of the band.  W_j's are half of V_j's,
+    which equals their closed forms to the bit: halving commutes with rounding."""
+    share = 2.0 if wavelet else 1.0
+    return synthesis_constant(geometry, j) / share, frame_constant(geometry, j) / share
+
+
+def _band_spectrum(geometry: SphereGeometry, j: int, wavelet: bool) -> ZonalSpectrum:
+    """Gegenbauer coefficients 2^(-nj/2) (l+lam)/lam of the band's kernel on
+    its degrees, zero below them."""
+    lo, hi = _degree_band(j, wavelet)
+    lam = geometry.lam
+    coeffs = 2.0 ** (-geometry.n * j / 2.0) * (np.arange(hi) + lam) / lam
+    coeffs[:lo] = 0.0
+    return ZonalSpectrum(lam, coeffs)
+
+
+def _band_kernel(geometry: SphereGeometry, j: int, wavelet: bool, t):
+    """The band's kernel at t in [-1, 1] (scalar or array)."""
+    value = zonal_eval(_band_spectrum(geometry, j, wavelet), t)
+    return value.real if isinstance(value, complex) else np.real(value)
+
+
+def _band_norm_sq(geometry: SphereGeometry, j: int, wavelet: bool) -> float:
+    """2^(-nj) times the number of harmonics in the band, exactly in rationals."""
+    band = _band_slice(geometry, j, wavelet)
+    return float(Fraction(band.stop - band.start, 2 ** (geometry.n * j)))
+
+
+# ---------------------------------------------------------------------------
 # kernels and their closed forms
 
 def scaling_spectrum(geometry: SphereGeometry, j: int) -> ZonalSpectrum:
     """Gegenbauer coefficients of phi_j: 2^(-nj/2) (l+lam)/lam on l < 2^(j-1)."""
-    if j < 1:
-        raise ValueError(f"level must be >= 1, got {j}")
-    lam = geometry.lam
-    scale = 2.0 ** (-geometry.n * j / 2.0)
-    ls = np.arange(2 ** (j - 1))
-    return ZonalSpectrum(lam, scale * (ls + lam) / lam)
+    return _band_spectrum(geometry, j, wavelet=False)
 
 
 def wavelet_spectrum(geometry: SphereGeometry, j: int) -> ZonalSpectrum:
     """Gegenbauer coefficients of psi_j: 2^(-nj/2) (l+lam)/lam on
     2^(j-1) <= l < 2^j, zero below."""
-    if j < 1:
-        raise ValueError(f"level must be >= 1, got {j}")
-    lam = geometry.lam
-    scale = 2.0 ** (-geometry.n * j / 2.0)
-    ls = np.arange(2**j)
-    coeffs = scale * (ls + lam) / lam
-    coeffs[: 2 ** (j - 1)] = 0.0
-    return ZonalSpectrum(lam, coeffs)
+    return _band_spectrum(geometry, j, wavelet=True)
 
 
 def scaling_kernel(geometry: SphereGeometry, j: int, t):
     """phi_j(t) for t in [-1, 1] (scalar or array)."""
-    value = zonal_eval(scaling_spectrum(geometry, j), t)
-    return value.real if isinstance(value, complex) else np.real(value)
+    return _band_kernel(geometry, j, False, t)
 
 
 def wavelet_kernel(geometry: SphereGeometry, j: int, t):
     """psi_j(t) for t in [-1, 1] (scalar or array)."""
-    value = zonal_eval(wavelet_spectrum(geometry, j), t)
-    return value.real if isinstance(value, complex) else np.real(value)
+    return _band_kernel(geometry, j, True, t)
 
 
 def scaling_norm_sq(geometry: SphereGeometry, j: int) -> float:
@@ -449,18 +493,12 @@ def scaling_norm_sq(geometry: SphereGeometry, j: int) -> float:
 
     Tends to 2^(1-n)/n! as j grows (and equals 1/4 for every j when n = 2).
     """
-    if j < 1:
-        raise ValueError(f"level must be >= 1, got {j}")
-    dim = dim_pi(geometry, space_degree_bound(j))
-    return float(Fraction(dim, 2 ** (geometry.n * j)))
+    return _band_norm_sq(geometry, j, wavelet=False)
 
 
 def wavelet_norm_sq(geometry: SphereGeometry, j: int) -> float:
     """||psi_j(. x)||^2 = 2^(-nj)(dim Pi_{2^j-1} - dim Pi_{2^(j-1)-1})."""
-    if j < 1:
-        raise ValueError(f"level must be >= 1, got {j}")
-    dim = dim_pi(geometry, 2**j - 1) - dim_pi(geometry, space_degree_bound(j))
-    return float(Fraction(dim, 2 ** (geometry.n * j)))
+    return _band_norm_sq(geometry, j, wavelet=True)
 
 
 def scaling_integral(geometry: SphereGeometry, j: int) -> float:
@@ -512,49 +550,41 @@ def _node_cartesians(geometry: SphereGeometry, j: int) -> np.ndarray:
     return np.stack([c.ravel() for c in coords], axis=1)
 
 
-def interpolatory_synthesis(signal: GridSignal) -> Callable[[SphericalPoint], complex]:
-    """Rebuild the V_j function from its level-j samples:
+def _band_rebuild(signal: GridSignal, j: int, wavelet: bool) -> Callable[[SphericalPoint], complex]:
+    """The band's function from its samples on N_{j+wavelet}:
 
-        f(x) = c_syn sum_{s,t} chi_prod v_{s,t} phi_j(x . x_{s,t}).
-
-    Returns a callable evaluating anywhere on the sphere.
+        f(x) = c_syn sum_{s,t} chi_prod v_{s,t} kernel(x . x_{s,t}).
     """
-    geometry, j = signal.geometry, signal.j
-    nodes = _node_cartesians(geometry, j)
-    weighted = (
-        synthesis_constant(geometry, j) * level_weights(geometry, j) * signal.values
-    )
-    spectrum = scaling_spectrum(geometry, j)
+    level = j + wavelet
+    if signal.j != level:
+        raise ValueError(
+            f"{'W' if wavelet else 'V'}_{j} synthesis needs samples at level {level}, "
+            f"got level {signal.j}"
+        )
+    geometry = signal.geometry
+    nodes = _node_cartesians(geometry, level)
+    constant = _band_constants(geometry, j, wavelet)[0]
+    weighted = constant * level_weights(geometry, level) * signal.values
+    spectrum = _band_spectrum(geometry, j, wavelet)
 
     def evaluate(x: SphericalPoint) -> complex:
         dots = np.clip(nodes @ x.cartesian(), -1.0, 1.0)
         return complex(np.dot(weighted, zonal_eval(spectrum, dots)))
 
     return evaluate
+
+
+def interpolatory_synthesis(signal: GridSignal) -> Callable[[SphericalPoint], complex]:
+    """Rebuild the V_j function from its level-j samples; the callable
+    evaluates anywhere on the sphere."""
+    return _band_rebuild(signal, signal.j, wavelet=False)
 
 
 def wavelet_interpolatory_synthesis(
     signal: GridSignal, j: int
 ) -> Callable[[SphericalPoint], complex]:
     """Rebuild a W_j function from its samples on the finer grid N_{j+1}."""
-    if signal.j != j + 1:
-        raise ValueError(
-            f"W_{j} synthesis needs samples at level {j + 1}, got level {signal.j}"
-        )
-    geometry = signal.geometry
-    nodes = _node_cartesians(geometry, j + 1)
-    weighted = (
-        wavelet_synthesis_constant(geometry, j)
-        * level_weights(geometry, j + 1)
-        * signal.values
-    )
-    spectrum = wavelet_spectrum(geometry, j)
-
-    def evaluate(x: SphericalPoint) -> complex:
-        dots = np.clip(nodes @ x.cartesian(), -1.0, 1.0)
-        return complex(np.dot(weighted, zonal_eval(spectrum, dots)))
-
-    return evaluate
+    return _band_rebuild(signal, j, wavelet=True)
 
 
 def _as_samples(f: Spectrum | GridSignal, j: int) -> GridSignal:
@@ -570,29 +600,24 @@ def _as_samples(f: Spectrum | GridSignal, j: int) -> GridSignal:
     return synthesize_on_grid(f, j)
 
 
-def frame_functional(f: Spectrum | GridSignal, j: int | None = None) -> float:
-    """c_F sum_{s,t} chi_prod |<phi_j(. x_{s,t}), f>|^2; equals ||f||^2 on V_j.
-
-    The inner products reduce to 2^(-nj/2) f(x_{s,t}).
-    """
-    if j is None:
-        j = f.j
-    samples = _as_samples(f, j)
+def _band_frame_functional(f: Spectrum | GridSignal, j: int, wavelet: bool) -> float:
+    """c_F sum over N_{j+wavelet} of chi_prod |<kernel(. x), f>|^2, which
+    equals ||f||^2 on the band.  The inner products reduce to 2^(-nj/2) f(x)."""
+    samples = _as_samples(f, j + wavelet)
     geometry = samples.geometry
-    w = level_weights(geometry, j)
+    w = level_weights(geometry, samples.j)
     quadratic = float(np.dot(w, np.abs(samples.values) ** 2))
-    return frame_constant(geometry, j) * 2.0 ** (-geometry.n * j) * quadratic
+    return _band_constants(geometry, j, wavelet)[1] * 2.0 ** (-geometry.n * j) * quadratic
+
+
+def frame_functional(f: Spectrum | GridSignal, j: int | None = None) -> float:
+    """c_F sum_{s,t} chi_prod |<phi_j(. x_{s,t}), f>|^2; equals ||f||^2 on V_j."""
+    return _band_frame_functional(f, f.j if j is None else j, wavelet=False)
 
 
 def wavelet_frame_functional(f: Spectrum | GridSignal, j: int) -> float:
     """c_F' sum over N_{j+1} of chi_prod |<psi_j(. x), f>|^2; ||f||^2 on W_j."""
-    samples = _as_samples(f, j + 1)
-    geometry = samples.geometry
-    w = level_weights(geometry, j + 1)
-    quadratic = float(np.dot(w, np.abs(samples.values) ** 2))
-    return (
-        wavelet_frame_constant(geometry, j) * 2.0 ** (-geometry.n * j) * quadratic
-    )
+    return _band_frame_functional(f, j, wavelet=True)
 
 
 def localization_check(

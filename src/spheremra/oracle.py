@@ -66,15 +66,12 @@ class IntegrationSpec:
 
     geometry: SphereGeometry
     resolution: int = 2048
-    method: str = "simpson"
 
     def __post_init__(self) -> None:
         if self.resolution < 64 or self.resolution % 2:
             raise ValueError(
                 f"resolution must be an even number >= 64, got {self.resolution}"
             )
-        if self.method != "simpson":
-            raise ValueError(f"unsupported method {self.method!r}")
 
 
 def _simpson_weights(npoints: int, step: float) -> np.ndarray:
@@ -135,7 +132,7 @@ def dense_integral(f, spec: IntegrationSpec, check: bool = False) -> complex:
             block = block * weights[ax].reshape(wshape)
         total += block.sum()
     if check:
-        half = IntegrationSpec(spec.geometry, spec.resolution // 2, spec.method)
+        half = IntegrationSpec(spec.geometry, spec.resolution // 2)
         other = dense_integral(f, half, check=False)
         scale = max(1.0, abs(total))
         if abs(total - other) > 1e-8 * scale:

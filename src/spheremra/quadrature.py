@@ -29,7 +29,6 @@ import math
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
 
 import numpy as np
 from scipy.special import rgamma
@@ -38,17 +37,13 @@ from .harmonics import SphereGeometry
 
 __all__ = [
     "QuadratureRule",
-    "GridNode",
     "make_rule",
     "integrate",
     "single_frequency_integral",
-    "dct_i",
     "grid_shape",
     "grid_axes",
     "checked_grid_shape",
     "grid_size",
-    "grid_nodes",
-    "level_weight",
     "level_weights",
     "node_cap",
 ]
@@ -175,23 +170,6 @@ def single_frequency_integral(mu: int, alpha: int) -> float:
     )
 
 
-def dct_i(samples) -> np.ndarray:
-    """Cosine coefficients a_mu of samples taken at theta_u = u pi / M.
-
-    a_mu = (2 eps_mu / M) sum_u eps_u f_u cos(mu u pi / M); the returned
-    series reproduces the samples exactly for trigonometric data of degree
-    <= M.
-    """
-    samples = np.asarray(samples)
-    if samples.ndim != 1 or samples.shape[0] < 2:
-        raise ValueError("need a flat array of at least two samples")
-    m = samples.shape[0] - 1
-    u = np.arange(m + 1)
-    eps = np.where((u == 0) | (u == m), 0.5, 1.0)
-    cosines = np.cos(np.pi * np.outer(u, u) / m)
-    return (2.0 * eps / m) * (cosines @ (eps * samples))
-
-
 def node_cap() -> int:
     """Grid-size guard; override with the SPHEREMRA_NODE_CAP variable."""
     raw = os.environ.get(_NODE_CAP_ENV)
@@ -207,7 +185,11 @@ def node_cap() -> int:
 
 
 def grid_shape(geometry: SphereGeometry, j: int) -> tuple[int, ...]:
-    """(M+1, ..., M+1, 2M) with M = 2^j: polar axes then the azimuth."""
+    """(M+1, ..., M+1, 2M) with M = 2^j: polar axes then the azimuth.
+
+    Grid order is the C order of this index box: polar indices vary slowest,
+    the azimuth index fastest.
+    """
     if j < 1:
         raise ValueError(f"level must be >= 1, got {j}")
     m = 2**j
@@ -240,40 +222,8 @@ def grid_axes(geometry: SphereGeometry, j: int) -> tuple[list[np.ndarray], np.nd
     return thetas, phis
 
 
-@dataclass(frozen=True)
-class GridNode:
-    """One node of N_j: polar indices s, azimuth index t, at level j."""
-
-    level: int
-    s: tuple[int, ...]
-    t: int
-
-    def point_angles(self) -> tuple[tuple[float, ...], float]:
-        m = 2**self.level
-        return tuple(si * math.pi / m for si in self.s), self.t * math.pi / m
-
-
-def grid_nodes(geometry: SphereGeometry, j: int) -> Iterator[GridNode]:
-    """Nodes of N_j in deterministic order: polar indices vary slowest, the
-    azimuth index fastest (C order of the (M+1)^(n-1) x 2M index box)."""
-    shape = checked_grid_shape(geometry, j)
-    for multi in np.ndindex(*shape):
-        yield GridNode(j, multi[:-1], multi[-1])
-
-
-def level_weight(geometry: SphereGeometry, j: int, node: GridNode) -> float:
-    """Product over polar axes of the chi weights at the node's s indices."""
-    if node.level != j:
-        raise ValueError(f"node at level {node.level} passed for level {j}")
-    m = 2**j
-    value = 1.0
-    for nu, s in enumerate(node.s, start=1):
-        value *= float(make_rule(m, geometry.n - nu).weights[s])
-    return value
-
-
 def level_weights(geometry: SphereGeometry, j: int) -> np.ndarray:
-    """All chi products of N_j, flattened in grid_nodes order (read-only)."""
+    """All chi products of N_j, flattened in grid order (read-only)."""
     checked_grid_shape(geometry, j)
     return _level_weights_cached(geometry, j)
 

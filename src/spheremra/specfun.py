@@ -3,7 +3,7 @@
 The polynomials C_l^lambda are generated by (1 - 2tr + r^2)^(-lambda) and are
 orthogonal on [-1, 1] with respect to w(t) = (1 - t^2)^(lambda - 1/2).  This
 module evaluates them by the three-term recurrence, provides the closed-form
-endpoint values and 1-d norms, and converts between zonal functions and their
+endpoint values and 1-d norms, and evaluates zonal functions from their
 Gegenbauer coefficient sequences.
 """
 
@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln, roots_gegenbauer
+from scipy.special import gammaln
 
 __all__ = [
     "GegenbauerParams",
@@ -22,7 +22,6 @@ __all__ = [
     "gegenbauer_table",
     "gegenbauer_at_one",
     "gegenbauer_norm_1d",
-    "gegenbauer_coefficients",
     "zonal_eval",
 ]
 
@@ -136,36 +135,3 @@ def zonal_eval(spec: ZonalSpectrum, t):
     table = gegenbauer_table(spec.lam, spec.max_degree, t_arr)
     value = np.tensordot(spec.coeffs, table, axes=(0, 0))
     return complex(value) if np.ndim(t) == 0 else value
-
-
-def gegenbauer_coefficients(f, lam: float, max_degree: int, tol: float = 1e-8) -> ZonalSpectrum:
-    """Project a callable f on [-1, 1] onto C_0..C_max_degree.
-
-    f_l = <C_l, f>_w / h(l, lambda), with the weighted inner product computed
-    by Gauss-Gegenbauer quadrature (exact for polynomial f of degree
-    <= max_degree).  Raises if re-evaluating the truncated series misses f by
-    more than tol at the quadrature nodes, which signals that f is not
-    (numerically) a polynomial of the stated degree.  The rule uses twice the
-    minimal node count: with only max_degree + 1 nodes the projection would
-    interpolate the samples and the residual check could never fire.
-    """
-    if not lam > 0:
-        raise ValueError(f"order lambda must be positive, got {lam}")
-    if max_degree < 0:
-        raise ValueError(f"max_degree must be nonnegative, got {max_degree}")
-    nodes, weights = roots_gegenbauer(2 * (max_degree + 1), lam)
-    samples = np.asarray([f(t) for t in nodes], dtype=complex)
-    table = gegenbauer_table(lam, max_degree, nodes)
-    norms = np.array(
-        [gegenbauer_norm_1d(GegenbauerParams(lam, l)) for l in range(max_degree + 1)]
-    )
-    coeffs = (table * weights) @ samples / norms
-    spec = ZonalSpectrum(lam, coeffs)
-    residual = np.max(np.abs(zonal_eval(spec, nodes) - samples))
-    scale = max(1.0, float(np.max(np.abs(samples))))
-    if residual > tol * scale:
-        raise ValueError(
-            f"projection residual {residual:.3e} exceeds tolerance; "
-            f"f is not a degree-{max_degree} polynomial to working accuracy"
-        )
-    return spec

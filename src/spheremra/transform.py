@@ -3,8 +3,8 @@
 A level-(j+1) sample vector of a V_{j+1} function splits into the samples of
 its V_j part (on the coarser grid N_j) and the samples of its W_j detail part
 (kept on N_{j+1}).  Both directions are spectral, on coefficient vectors:
-I_j is a prefix of the enumeration (it is ordered by degree), so the band of
-degrees (lo, hi] is the slice [dim Pi_lo, dim Pi_hi) of one vector.
+the enumeration is ordered by degree, so V_j and the band W_j are each one
+slice of a coefficient vector (mra._band_slice).
 
 - Decomposition analyses once on the top grid, then synthesises the
   degree-0 base on N_1 and each detail band i on N_{i+1}.
@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .harmonics import SphereGeometry, dim_pi
-from .mra import GridSignal, analyze_coeffs, space_degree_bound, synthesize_coeffs
+from .harmonics import SphereGeometry
+from .mra import GridSignal, _band_slice, analyze_coeffs, synthesize_coeffs
 
 __all__ = [
     "Pyramid",
@@ -59,17 +59,12 @@ class Pyramid:
         return len(self.details)
 
 
-def _dim(geometry: SphereGeometry, j: int) -> int:
-    """dim V_j: the end of the I_j prefix of the enumeration."""
-    return dim_pi(geometry, space_degree_bound(j))
-
-
 def _band(geometry: SphereGeometry, coeffs: np.ndarray, j: int) -> GridSignal:
     """Samples on N_{j+1} of the W_j band of coefficients that reach I_{j+1}."""
-    lo, hi = _dim(geometry, j), _dim(geometry, j + 1)
-    band = np.zeros(hi, dtype=complex)
-    band[lo:] = coeffs[lo:hi]
-    return synthesize_coeffs(geometry, j + 1, band, j + 1)
+    band = _band_slice(geometry, j, wavelet=True)
+    kept = np.zeros(band.stop, dtype=complex)
+    kept[band] = coeffs[band]
+    return synthesize_coeffs(geometry, j + 1, kept, j + 1)
 
 
 def restrict(signal: GridSignal) -> GridSignal:
@@ -78,7 +73,7 @@ def restrict(signal: GridSignal) -> GridSignal:
         raise ValueError("cannot restrict below level 1")
     geometry, j = signal.geometry, signal.j - 1
     coeffs = analyze_coeffs(signal)
-    return synthesize_coeffs(geometry, j, coeffs[: _dim(geometry, j)], j)
+    return synthesize_coeffs(geometry, j, coeffs[_band_slice(geometry, j, wavelet=False)], j)
 
 
 def detail(signal: GridSignal) -> GridSignal:
@@ -98,7 +93,7 @@ def prolong_sum(v: GridSignal, w: GridSignal) -> GridSignal:
     if v.geometry != w.geometry:
         raise ValueError("operands live on different spheres")
     coeffs = analyze_coeffs(w)
-    coeffs[: _dim(v.geometry, v.j)] = analyze_coeffs(v)
+    coeffs[_band_slice(v.geometry, v.j, wavelet=False)] = analyze_coeffs(v)
     return synthesize_coeffs(v.geometry, w.j, coeffs, w.j)
 
 
@@ -113,7 +108,7 @@ def pyramid_decompose(signal: GridSignal, levels: int) -> Pyramid:
         )
     geometry = signal.geometry
     coeffs = analyze_coeffs(signal)
-    base = synthesize_coeffs(geometry, 1, coeffs[: _dim(geometry, 1)], 1)
+    base = synthesize_coeffs(geometry, 1, coeffs[_band_slice(geometry, 1, wavelet=False)], 1)
     details = [_band(geometry, coeffs, j) for j in range(1, levels + 1)]
     return Pyramid(base=base, details=details)
 
@@ -121,9 +116,9 @@ def pyramid_decompose(signal: GridSignal, levels: int) -> Pyramid:
 def pyramid_reconstruct(pyramid: Pyramid) -> GridSignal:
     """Invert pyramid_decompose: returns level-(levels+1) samples."""
     geometry, top = pyramid.base.geometry, pyramid.levels + 1
-    coeffs = np.empty(_dim(geometry, top), dtype=complex)
-    coeffs[: _dim(geometry, 1)] = analyze_coeffs(pyramid.base)
+    coeffs = np.empty(_band_slice(geometry, top, wavelet=False).stop, dtype=complex)
+    coeffs[_band_slice(geometry, 1, wavelet=False)] = analyze_coeffs(pyramid.base)
     for j, w in enumerate(pyramid.details, start=1):
-        lo, hi = _dim(geometry, j), _dim(geometry, j + 1)
-        coeffs[lo:hi] = analyze_coeffs(w)[lo:hi]
+        band = _band_slice(geometry, j, wavelet=True)
+        coeffs[band] = analyze_coeffs(w)[band]
     return synthesize_coeffs(geometry, top, coeffs, top)

@@ -17,28 +17,26 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
+from functools import partial
 
 import numpy as np
 
-from .harmonics import SphereGeometry, SphericalPoint, dim_pi, enumerate_indices
+from .harmonics import SphereGeometry, SphericalPoint, dim_pi
 from .mra import (
     GridSignal,
     Spectrum,
     analysis_constant,
     analyze,
     frame_constant,
-    frame_functional,
-    interpolatory_synthesis,
     scaling_integral,
     scaling_kernel,
     scaling_norm_sq,
     space_degree_bound,
+    space_indices,
     synthesize,
     synthesize_on_grid,
     wavelet_frame_constant,
-    wavelet_frame_functional,
     wavelet_integral,
-    wavelet_interpolatory_synthesis,
     wavelet_kernel,
     wavelet_norm_sq,
     wavelet_synthesis_constant,
@@ -103,22 +101,13 @@ class CertificationReport:
 
 
 def _random_spectrum(
-    geometry: SphereGeometry, j: int, rng: np.random.Generator, band_only: bool = False
+    geometry: SphereGeometry, j: int, wavelet: bool, rng: np.random.Generator
 ) -> Spectrum:
-    """Random coefficients on I_j, or on the detail band of level j when
-    band_only (stored in a level-(j+1) container)."""
-    if band_only:
-        indices = [
-            ix
-            for ix in enumerate_indices(geometry, 2**j - 1)
-            if ix.l > space_degree_bound(j)
-        ]
-        container = j + 1
-    else:
-        indices = enumerate_indices(geometry, space_degree_bound(j))
-        container = j
+    """Random coefficients on the band of V_j, or of W_j when `wavelet` (then
+    in a level-(j+1) container)."""
+    indices = space_indices(geometry, j + wavelet)[mra._band_slice(geometry, j, wavelet)]
     values = rng.normal(size=len(indices)) + 1j * rng.normal(size=len(indices))
-    return Spectrum(geometry, container, dict(zip(indices, values.tolist())))
+    return Spectrum(geometry, j + wavelet, dict(zip(indices, values.tolist())))
 
 
 def _random_points(
@@ -143,69 +132,37 @@ def _analysis_record(geometry: SphereGeometry, j: int, tol: float) -> CertRecord
 
 
 def _synthesis_record(
-    geometry: SphereGeometry, j: int, tol: float, rng: np.random.Generator
+    geometry: SphereGeometry, j: int, wavelet: bool, tol: float, rng: np.random.Generator
 ) -> CertRecord:
-    expected = synthesis_constant(geometry, j)
+    expected = mra._band_constants(geometry, j, wavelet)[0]
     points = _random_points(geometry, 3, rng)
     worst = 0.0
     measured = expected
     for _ in range(2):
-        spectrum = _random_spectrum(geometry, j, rng)
-        samples = synthesize_on_grid(spectrum, j)
-        rebuild = interpolatory_synthesis(samples)
+        spectrum = _random_spectrum(geometry, j, wavelet, rng)
+        rebuild = mra._band_rebuild(synthesize_on_grid(spectrum, spectrum.j), j, wavelet)
         for x in points:
             truth = synthesize(spectrum, x)
             measured = expected * abs(truth / rebuild(x))
             worst = max(worst, abs(truth / rebuild(x) - 1.0))
-    return CertRecord("scaling synthesis constant", geometry.n, j, expected, measured, worst, tol)
+    name = f"{'wavelet' if wavelet else 'scaling'} synthesis constant"
+    return CertRecord(name, geometry.n, j, expected, measured, worst, tol)
 
 
 def _frame_record(
-    geometry: SphereGeometry, j: int, tol: float, rng: np.random.Generator
+    geometry: SphereGeometry, j: int, wavelet: bool, tol: float, rng: np.random.Generator
 ) -> CertRecord:
-    expected = frame_constant(geometry, j)
+    expected = mra._band_constants(geometry, j, wavelet)[1]
     worst = 0.0
     measured = expected
     for _ in range(3):
-        spectrum = _random_spectrum(geometry, j, rng)
+        spectrum = _random_spectrum(geometry, j, wavelet, rng)
         truth = spectrum.norm_sq()
-        functional = frame_functional(spectrum)
+        functional = mra._band_frame_functional(spectrum, j, wavelet)
         measured = expected * truth / functional
         worst = max(worst, abs(functional / truth - 1.0))
-    return CertRecord("scaling frame constant", geometry.n, j, expected, measured, worst, tol)
-
-
-def _wavelet_synthesis_record(
-    geometry: SphereGeometry, j: int, tol: float, rng: np.random.Generator
-) -> CertRecord:
-    expected = wavelet_synthesis_constant(geometry, j)
-    points = _random_points(geometry, 3, rng)
-    worst = 0.0
-    measured = expected
-    for _ in range(2):
-        spectrum = _random_spectrum(geometry, j, rng, band_only=True)
-        samples = synthesize_on_grid(spectrum, j + 1)
-        rebuild = wavelet_interpolatory_synthesis(samples, j)
-        for x in points:
-            truth = synthesize(spectrum, x)
-            measured = expected * abs(truth / rebuild(x))
-            worst = max(worst, abs(truth / rebuild(x) - 1.0))
-    return CertRecord("wavelet synthesis constant", geometry.n, j, expected, measured, worst, tol)
-
-
-def _wavelet_frame_record(
-    geometry: SphereGeometry, j: int, tol: float, rng: np.random.Generator
-) -> CertRecord:
-    expected = wavelet_frame_constant(geometry, j)
-    worst = 0.0
-    measured = expected
-    for _ in range(3):
-        spectrum = _random_spectrum(geometry, j, rng, band_only=True)
-        truth = spectrum.norm_sq()
-        functional = wavelet_frame_functional(spectrum, j)
-        measured = expected * truth / functional
-        worst = max(worst, abs(functional / truth - 1.0))
-    return CertRecord("wavelet frame constant", geometry.n, j, expected, measured, worst, tol)
+    name = f"{'wavelet' if wavelet else 'scaling'} frame constant"
+    return CertRecord(name, geometry.n, j, expected, measured, worst, tol)
 
 
 def _two_scale_record(geometry: SphereGeometry, j: int, tol: float) -> CertRecord:
@@ -234,13 +191,7 @@ def _closed_form_records(
     geometry: SphereGeometry, j: int, tol: float, resolution: int
 ) -> list[CertRecord]:
     n = geometry.n
-
-    def phi(t):
-        return scaling_kernel(geometry, j, t)
-
-    def psi(t):
-        return wavelet_kernel(geometry, j, t)
-
+    phi, psi = partial(scaling_kernel, geometry, j), partial(wavelet_kernel, geometry, j)
     records = []
     pairs = [
         ("scaling norm squared", scaling_norm_sq(geometry, j),
@@ -333,10 +284,9 @@ def certify(
         geometry = SphereGeometry(n)
         for j in range(1, max_j + 1):
             report.records.append(_analysis_record(geometry, j, tol))
-            report.records.append(_synthesis_record(geometry, j, tol, rng))
-            report.records.append(_frame_record(geometry, j, tol, rng))
-            report.records.append(_wavelet_synthesis_record(geometry, j, tol, rng))
-            report.records.append(_wavelet_frame_record(geometry, j, tol, rng))
+            for wavelet in (False, True):
+                report.records.append(_synthesis_record(geometry, j, wavelet, tol, rng))
+                report.records.append(_frame_record(geometry, j, wavelet, tol, rng))
             report.records.append(_two_scale_record(geometry, j, tol))
             report.records.extend(_closed_form_records(geometry, j, tol, resolution))
             report.variants.extend(_variant_records(geometry, j))

@@ -5,6 +5,8 @@ asserted exactly as a shell user would see them.
 """
 
 import json
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -226,3 +228,53 @@ def test_non_finite_input_exits_one(tmp_path, capsys, reader, argv, literal):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "non-finite" in err
     assert err.count("\n") == 1
+
+
+def _signal_values(values):
+    return f'{{"n": 2, "j": 1, "values": {values}}}'
+
+
+_SPECTRUM_ROW = '{"l": 0, "k": [0], "sign": 1, "re": 1.0, "im": 0.0}'
+
+
+@pytest.mark.parametrize(
+    "document,argv",
+    [
+        (_signal_values("5"), ["analyze"]),
+        (_signal_values('[["a", 1]]'), ["analyze"]),
+        (_signal_values("[null]"), ["analyze"]),
+        (_signal_values('[["1.5", 0]]'), ["analyze"]),
+        (_signal_values("[[1" + "0" * 400 + ", 0]]"), ["analyze"]),
+        ("[" * 100_000, ["analyze"]),
+        (_signal_values("[" + ", ".join(["[1e308, 1e308]"] * 12) + "]"), ["analyze"]),
+        ('{"lambda": 0.5, "coeffs": [["a", 1]]}', ["uncertainty"]),
+        ('{"lambda": 0.5, "coeffs": [[1e200, 0], [2e200, 0]]}', ["uncertainty"]),
+        ('{"n": 2, "j": 30, "entries": []}', ["synthesize", "--grid", "1"]),
+        (f'{{"n": 2, "j": 1, "entries": [{_SPECTRUM_ROW}, {_SPECTRUM_ROW}]}}',
+         ["synthesize", "--grid", "1"]),
+    ],
+    ids=[
+        "values-scalar", "values-string", "values-null", "values-number-string",
+        "values-huge-int", "deep-nesting", "analyze-overflows", "zonal-string",
+        "uncertainty-overflows", "spectrum-level-30", "spectrum-repeated-index",
+    ],
+)
+def test_exit_contract_holes_end_in_one_error_line(tmp_path, capsys, document, argv):
+    """Each input ends with exit 1, one `error:` line (no traceback, no
+    warning), no output file, within 2 s."""
+    path, out = tmp_path / "in.json", tmp_path / "out.json"
+    path.write_text(document)
+    argv = [argv[0], "--in", str(path)] + argv[1:]
+    if argv[0] != "uncertainty":
+        argv += ["--out", str(out)]
+    start = time.perf_counter()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(argv) == 1
+    assert time.perf_counter() - start < 2.0
+    assert not caught
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    assert not out.exists()

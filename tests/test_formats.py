@@ -33,6 +33,9 @@ def test_format_float_is_lossless():
         assert float(format_float(x)) == x
     assert format_float(1.0) == "1"
     assert format_float(1 / 3) == "0.33333333333333331"
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="non-finite"):
+            format_float(bad)
 
 
 @pytest.mark.parametrize("n,j", [(2, 1), (2, 3), (3, 2)])
@@ -120,3 +123,33 @@ def test_malformed_documents_raise_value_error():
         zonal_from_json('{"lambda": 0.5}')
     with pytest.raises(ValueError):
         zonal_from_json('{"lambda": 0.5, "coeffs": [[1.0], [2.0]]}')
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    ["5", '[["a", 1]]', "[null]", '[["1.5", 0]]', "[[1" + "0" * 400 + ", 0]]",
+     "[[1, 2], [3]]", "[[1, 2, 3]]", '{"re": 1}'],
+    ids=["scalar", "string", "null", "number-string", "huge-int", "ragged", "triple", "object"],
+)
+def test_pair_readers_reject_anything_but_number_pairs(pairs):
+    with pytest.raises(ValueError):
+        signal_from_json(f'{{"n": 2, "j": 1, "values": {pairs}}}')
+    with pytest.raises(ValueError):
+        zonal_from_json(f'{{"lambda": 0.5, "coeffs": {pairs}}}')
+
+
+def test_pair_readers_keep_the_bits_of_each_number():
+    values = ", ".join(["[-0.0, 5e-324]", "[1, true]"] + ["[2.5, -0.0]"] * 10)
+    signal = signal_from_json(f'{{"n": 2, "j": 1, "values": [{values}]}}')
+    assert np.signbit(signal.values[0].real) and signal.values[0].imag == 5e-324
+    assert signal.values[1] == 1 + 1j
+    assert np.signbit(signal.values[2].imag)
+    assert len(zonal_from_json('{"lambda": 0.5, "coeffs": []}').coeffs) == 0
+
+
+def test_readers_refuse_deep_nesting_and_repeated_indices():
+    with pytest.raises(ValueError, match="nests"):
+        signal_from_json("[" * 100_000)
+    row = '{"l": 1, "k": [1], "sign": -1, "re": 1.0, "im": 0.0}'
+    with pytest.raises(ValueError, match="twice"):
+        spectrum_from_json(f'{{"n": 2, "j": 2, "entries": [{row}, {row}]}}')

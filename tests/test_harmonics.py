@@ -51,6 +51,9 @@ def test_harmonic_and_polynomial_space_counts():
     assert dim_pi(two, 7) == 64
     assert dim_pi(three, 2) == 14
     assert dim_pi(three, 7) == 204
+    # exact at degrees no factorial form reaches: (m+1)^2 on S^2
+    assert dim_pi(two, 2**29 - 1) == 2**58
+    assert dim_pi(three, 10**6) == (10**6 + 1) * (10**6 + 2) * (2 * 10**6 + 3) // 6
 
 
 @pytest.mark.parametrize("n", range(2, 9))

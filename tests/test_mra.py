@@ -1,5 +1,6 @@
 """Scaling and wavelet kernels, sampling analysis, and frame identities."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -43,7 +44,7 @@ from spheremra.mra import (
     wavelet_synthesis_constant,
 )
 from spheremra.oracle import zonal_inner_product, zonal_integral
-from spheremra.quadrature import grid_size
+from spheremra.quadrature import grid_axes, grid_size
 
 
 def random_spectrum(geometry, j, rng):
@@ -295,11 +296,10 @@ def test_sampled_kernel_coefficients():
 
 
 def _grid_points(geo, j):
-    from spheremra.quadrature import grid_nodes
-
-    for node in grid_nodes(geo, j):
-        thetas, phi = node.point_angles()
-        yield SphericalPoint(thetas, phi)
+    """The nodes of N_j in grid order (azimuth fastest)."""
+    thetas, phis = grid_axes(geo, j)
+    for *angles, phi in itertools.product(*thetas, phis):
+        yield SphericalPoint(tuple(float(t) for t in angles), float(phi))
 
 
 def test_constants_scale_between_levels():
@@ -355,3 +355,16 @@ def test_validation_errors():
         synthesize_on_grid(spectrum, 0)
     with pytest.raises(ValueError):
         frame_functional(spectrum, 1)  # spectrum degree exceeds V_1
+
+
+def test_spectrum_level_is_sized_against_the_node_cap(monkeypatch):
+    """A spectrum whose dim V_j passes the node cap is refused at
+    construction, before any index is enumerated."""
+    geo = SphereGeometry(2)
+    for j in (30, 10**12):
+        with pytest.raises(ValueError, match="cap"):
+            Spectrum(geo, j)
+    monkeypatch.setenv("SPHEREMRA_NODE_CAP", str(dim_pi(geo, space_degree_bound(4))))
+    Spectrum(geo, 4)  # dim V_4 = 64, exactly the cap
+    with pytest.raises(ValueError, match="cap"):
+        Spectrum(geo, 5)

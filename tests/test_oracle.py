@@ -33,8 +33,6 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         IntegrationSpec(geo, resolution=63)
     with pytest.raises(ValueError):
-        IntegrationSpec(geo, resolution=130, method="trapezoid")
-    with pytest.raises(ValueError):
         IntegrationSpec(geo, resolution=129)
     assert default_resolution(2) == 2048
     assert default_resolution(5) == 512

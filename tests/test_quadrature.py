@@ -8,15 +8,12 @@ from scipy.special import beta as beta_fn
 
 from spheremra import quadrature
 from spheremra.harmonics import SphereGeometry
+from spheremra.mra import _node_cartesians
 from spheremra.quadrature import (
-    GridNode,
-    dct_i,
     grid_axes,
-    grid_nodes,
     grid_shape,
     grid_size,
     integrate,
-    level_weight,
     level_weights,
     make_rule,
     node_cap,
@@ -108,17 +105,6 @@ def test_clenshaw_curtis_cross_check():
     assert np.allclose(rule.weights, expected, atol=1e-14)
 
 
-def test_dct_round_trip():
-    rng = np.random.default_rng(11)
-    samples = rng.normal(size=17)
-    spectrum = dct_i(samples)
-    # resynthesize: f(u pi / M) = sum_k c_k cos(k u pi / M)
-    M = samples.size - 1
-    theta = np.arange(M + 1) * math.pi / M
-    back = sum(spectrum[k] * np.cos(k * theta) for k in range(M + 1))
-    assert np.allclose(back, samples, atol=1e-12)
-
-
 def test_grid_shapes_and_sizes():
     two = SphereGeometry(2)
     three = SphereGeometry(3)
@@ -136,12 +122,13 @@ def test_grid_axes_and_node_order():
     assert len(thetas) == 1
     assert np.allclose(thetas[0], [0.0, math.pi / 2.0, math.pi])
     assert np.allclose(phis, [0.0, math.pi / 2.0, math.pi, 3.0 * math.pi / 2.0])
-    nodes = list(grid_nodes(two, 1))
-    assert len(nodes) == 12
-    # azimuth varies fastest
-    assert nodes[0].point_angles() == ((0.0,), 0.0)
-    assert nodes[1].point_angles()[1] == pytest.approx(math.pi / 2.0)
-    assert nodes[4].point_angles()[0][0] == pytest.approx(math.pi / 2.0)
+    nodes = _node_cartesians(two, 1)
+    assert nodes.shape == (12, 3)
+    # azimuth varies fastest: node 0 is the pole, nodes 4 and 5 sit on the
+    # equator at phi = 0 and pi/2
+    assert np.allclose(nodes[0], [1.0, 0.0, 0.0])
+    assert np.allclose(nodes[4], [0.0, 1.0, 0.0], atol=1e-15)
+    assert np.allclose(nodes[5], [0.0, 0.0, 1.0], atol=1e-15)
 
 
 def test_level_weights_nonnegative_and_consistent():
@@ -153,9 +140,13 @@ def test_level_weights_nonnegative_and_consistent():
             # zero only at poles of the alpha = 2 axis on S^3
             assert np.all(flat >= 0.0)
             assert np.max(flat) > 0.0
-            for pos, node in enumerate(grid_nodes(geo, j)):
-                if pos % 7 == 0:
-                    assert flat[pos] == pytest.approx(level_weight(geo, j, node))
+            # polar axes nu = 1..n-1 (alpha = n - nu) in grid order, then
+            # the 2^(j+1) azimuth nodes
+            outer = np.ones(1)
+            for nu in range(1, n):
+                outer = np.multiply.outer(outer, make_rule(2**j, n - nu).weights)
+            outer = np.multiply.outer(outer, np.ones(2 ** (j + 1)))
+            assert np.array_equal(flat, outer.ravel())
     # weights cover the polar axes only (the uniform azimuth factor lives in
     # the analysis constant), so the total is prod_nu int_0^pi sin^(n-nu)
     # times the azimuth count 2^(j+1)
@@ -185,10 +176,6 @@ def test_rule_validation():
     rule = make_rule(4, 1)
     with pytest.raises(ValueError):
         integrate(rule, np.ones(4))  # five samples required
-    geo = SphereGeometry(2)
-    node = GridNode(2, (0,), 0)
-    with pytest.raises(ValueError):
-        level_weight(geo, 1, node)  # node level does not match the grid level
 
 
 @pytest.mark.parametrize("alpha", [1, 3])

@@ -12,7 +12,6 @@ from spheremra.specfun import (
     ZonalSpectrum,
     gegenbauer,
     gegenbauer_at_one,
-    gegenbauer_coefficients,
     gegenbauer_norm_1d,
     gegenbauer_table,
     zonal_eval,
@@ -124,28 +123,3 @@ def test_zonal_eval_is_linear_combination():
     values = zonal_eval(spec, ts)
     assert values.shape == (3,)
     assert values[1] == pytest.approx(1.0 - 0.0 + 0.5 * gegenbauer(GegenbauerParams(lam, 2), 0.0))
-
-
-def test_coefficients_round_trip():
-    rng = np.random.default_rng(42)
-    lam = 1.5
-    coeffs = rng.normal(size=9) + 1j * rng.normal(size=9)
-    spec = ZonalSpectrum(lam, coeffs)
-
-    def f(t):
-        return zonal_eval(spec, t)
-
-    recovered = gegenbauer_coefficients(f, lam, 8)
-    assert np.allclose(recovered.coeffs, coeffs, atol=1e-10)
-    # asking for a higher degree pads with (numerical) zeros
-    padded = gegenbauer_coefficients(f, lam, 11)
-    assert np.allclose(padded.coeffs[9:], 0.0, atol=1e-10)
-
-
-def test_coefficients_reject_bad_tolerance_fit():
-    # a function far outside the polynomial space of the requested degree
-    def f(t):
-        return np.exp(5.0 * np.asarray(t))
-
-    with pytest.raises(ValueError):
-        gegenbauer_coefficients(f, 1.0, 2, tol=1e-10)
