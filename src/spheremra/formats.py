@@ -1,11 +1,14 @@
 """JSON wire formats for signals, spectra, pyramids, and zonal expansions.
 
-Writers are hand-rolled so every float is emitted with %.17g (lossless
-round-trip, byte-identical reruns) and refuse a non-finite value.  Readers
-accept anything json.loads produces for those documents, except non-finite
-numbers (NaN, Infinity and literals that overflow a float), pairs that are
-not an (N, 2) array of numbers, a repeated spectrum index and nesting too
-deep to parse; each raises ValueError.
+Writers are hand-rolled so every float is emitted with %.17g (negative zero
+as -0.0; lossless round-trip, byte-identical reruns) and refuse a non-finite
+value.  The spectrum writer emits one row for every index of I_j, in
+enumeration order; the reader takes any subset, an absent index being zero.
+Readers accept anything json.loads produces for those documents, except
+non-finite numbers (NaN, Infinity and literals that overflow a float), pairs
+that are not an (N, 2) array of numbers, spectrum rows whose l, k or sign is
+not a JSON integer or whose re or im is not a JSON number, a repeated
+spectrum index and nesting too deep to parse; each raises ValueError.
 
     GridSignal    {"n": 2, "j": 3, "values": [[re, im], ...]}   grid order
     Spectrum      {"n": 2, "j": 3, "entries": [{"l": 0, "k": [0], "sign": 1,
@@ -22,7 +25,7 @@ import math
 import numpy as np
 
 from .harmonics import HarmonicIndex, SphereGeometry
-from .mra import GridSignal, Spectrum
+from .mra import GridSignal, Spectrum, space_indices
 from .specfun import ZonalSpectrum
 from .transform import Pyramid
 
@@ -43,7 +46,8 @@ def format_float(value: float) -> str:
     value = float(value)
     if not math.isfinite(value):
         raise ValueError(f"non-finite value {value} in the output")
-    return format(value, ".17g")
+    # "-0" would read back as the integer 0 and lose the sign
+    return "-0.0" if value == 0.0 and math.copysign(1.0, value) < 0 else format(value, ".17g")
 
 
 def _finite_float(token: str) -> float:
@@ -109,9 +113,9 @@ def signal_from_json(text: str) -> GridSignal:
 
 def spectrum_to_json(spectrum: Spectrum) -> str:
     rows = []
-    for index, value in spectrum.entries.items():
+    indices = space_indices(spectrum.geometry, spectrum.j)
+    for index, value in zip(indices, spectrum.coeffs.tolist()):
         ks = ", ".join(str(k) for k in index.chain)
-        value = complex(value)
         rows.append(
             f'    {{"l": {index.l}, "k": [{ks}], "sign": {index.sign}, '
             f'"re": {format_float(value.real)}, "im": {format_float(value.imag)}}}'
@@ -128,17 +132,32 @@ def spectrum_to_json(spectrum: Spectrum) -> str:
     )
 
 
+def _json_int(value, name: str) -> int:
+    """A JSON integer; a bool, a float or a string is refused."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {type(value).__name__}")
+    return value
+
+
+def _json_number(value, name: str) -> float:
+    """A JSON number, integer or float; a bool or a string is refused."""
+    if type(value) not in (int, float):
+        raise ValueError(f"{name} must be a number, got {type(value).__name__}")
+    return float(value)
+
+
 def spectrum_from_json(text: str) -> Spectrum:
     obj = _loads(text)
     try:
         n, j = int(obj["n"]), int(obj["j"])
         entries: dict[HarmonicIndex, complex] = {}
         for row in obj["entries"]:
-            index = HarmonicIndex(int(row["l"]), tuple(int(k) for k in row["k"]), int(row["sign"]))
+            chain = tuple(_json_int(k, "k") for k in row["k"])
+            index = HarmonicIndex(_json_int(row["l"], "l"), chain, _json_int(row["sign"], "sign"))
             if index in entries:
                 ks = list(index.chain)
                 raise ValueError(f"index l={index.l} k={ks} sign={index.sign} listed twice")
-            entries[index] = complex(float(row["re"]), float(row["im"]))
+            entries[index] = complex(_json_number(row["re"], "re"), _json_number(row["im"], "im"))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed spectrum document: {exc}") from exc
     return Spectrum(SphereGeometry(n), j, entries)

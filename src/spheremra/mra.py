@@ -25,9 +25,10 @@ exact point samples.  That costs O(M^(n+1)) time and
 (n-1) (M/2)^2 (M+1) table entries, in place of a dense (dim V_j) x (grid
 nodes) basis of O(M^(2n)) bytes (136 MB at S^2 j=6, 34 GB at j=8).
 
-The cores analyze_coeffs and synthesize_coeffs work on coefficient vectors
-in enumeration order; analyze and synthesize_on_grid wrap them in a
-Spectrum at the public boundary.
+A Spectrum is one coefficient vector on I_j in enumeration order (a mapping
+from HarmonicIndex to value is accepted and converted once).  The cores
+analyze_coeffs and synthesize_coeffs work on such vectors; analyze and
+synthesize_on_grid only wrap and unwrap them.
 
 phi_j and psi_j are one kernel over two degree bands, [0, 2^(j-1)) for V_j
 and [2^(j-1), 2^j) for W_j (sampled on N_{j+1}).  One band core,
@@ -41,8 +42,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from functools import cached_property, lru_cache
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 from scipy.special import gammaln
@@ -58,7 +60,7 @@ from .harmonics import (
     normalization_constant,
 )
 from .quadrature import (
-    _NODE_CAP_ENV, checked_grid_shape, grid_axes, grid_size, level_weights, node_cap,
+    _NODE_CAP_ENV, checked_grid_shape, grid_axes, level_weights, node_cap,
 )
 from .specfun import GegenbauerParams, ZonalSpectrum, gegenbauer_norm_1d, zonal_eval
 
@@ -107,41 +109,62 @@ def space_indices(geometry: SphereGeometry, j: int) -> list[HarmonicIndex]:
 
 @dataclass
 class Spectrum:
-    """Fourier coefficients indexed by harmonics, attached to a level.
+    """Fourier coefficients on I_j: one complex vector of length dim V_j, in
+    enumeration order (degrees up to 2^(j-1) - 1).
 
-    A level-j container holds coefficients supported on I_j (degrees up to
-    2^(j-1) - 1); absent indices are zero.  Iteration order of `entries`
-    follows insertion, and everything produced here inserts in enumeration
-    order.
+    The constructor also takes a mapping from HarmonicIndex to value, where
+    an absent index is zero, and converts it once.  `entries` is the
+    read-only {HarmonicIndex: complex} view over all of I_j, built on first
+    use.
     """
 
     geometry: SphereGeometry
     j: int
-    entries: dict[HarmonicIndex, complex] = field(default_factory=dict)
+    coeffs: np.ndarray = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        # dim V_j >= 2^(j-1), so a level past the cap's bit length is refused
-        # before any integer of its size is formed
-        cap = node_cap()
-        if self.j > cap.bit_length() or dim_pi(self.geometry, space_degree_bound(self.j)) > cap:
+        # dim V_j >= 2^(j-1) and every grid on S^n has over 2^n nodes, so a
+        # level or a dimension past the cap's bit length is refused before
+        # any integer of its size is formed
+        cap, n = node_cap(), self.geometry.n
+        if max(self.j, n) > cap.bit_length() or (
+            size := dim_pi(self.geometry, space_degree_bound(self.j))
+        ) > cap:
             raise ValueError(
-                f"level-{self.j} spectrum on S^{self.geometry.n} has more coefficients "
+                f"level-{self.j} spectrum on S^{n} has more coefficients or grid nodes "
                 f"than the cap {cap}; raise {_NODE_CAP_ENV} to override"
             )
-        bound = space_degree_bound(self.j)
-        for index in self.entries:
-            if len(index.chain) != self.geometry.n - 1:
-                raise ValueError(f"index {index} incompatible with S^{self.geometry.n}")
-            if index.l > bound:
-                raise ValueError(
-                    f"degree {index.l} exceeds the level-{self.j} bound {bound}"
-                )
+        if isinstance(self.coeffs, Mapping):
+            entries, bound = self.coeffs, space_degree_bound(self.j)
+            for index in entries:
+                if len(index.chain) != n - 1:
+                    raise ValueError(f"index {index} incompatible with S^{n}")
+                if index.l > bound:
+                    raise ValueError(f"degree {index.l} exceeds the level-{self.j} bound {bound}")
+            self.coeffs = np.zeros(size, dtype=complex)
+            if entries:
+                position = {ix: p for p, ix in enumerate(space_indices(self.geometry, self.j))}
+                self.coeffs[[position[ix] for ix in entries]] = list(entries.values())
+        self.coeffs = np.asarray(self.coeffs, dtype=complex)
+        if self.coeffs.shape != (size,):
+            raise ValueError(
+                f"level-{self.j} spectrum on S^{n} has {size} coefficients, "
+                f"got an array of shape {self.coeffs.shape}"
+            )
+
+    @cached_property
+    def entries(self) -> Mapping[HarmonicIndex, complex]:
+        return MappingProxyType(
+            dict(zip(space_indices(self.geometry, self.j), self.coeffs.tolist()))
+        )
 
     def vector(self, indices: Sequence[HarmonicIndex]) -> np.ndarray:
-        return np.array([self.entries.get(ix, 0.0) for ix in indices], dtype=complex)
+        entries = self.entries
+        return np.array([entries.get(ix, 0.0) for ix in indices], dtype=complex)
 
     def norm_sq(self) -> float:
-        return float(sum(abs(v) ** 2 for v in self.entries.values()))
+        # a sequential sum in enumeration order: the verify report's bits depend on it
+        return float(sum(abs(v) ** 2 for v in self.coeffs.tolist()))
 
 
 @dataclass
@@ -153,10 +176,8 @@ class GridSignal:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.j < 1:
-            raise ValueError(f"level must be >= 1, got {self.j}")
+        expected = math.prod(checked_grid_shape(self.geometry, self.j))
         self.values = np.asarray(self.values, dtype=complex).ravel()
-        expected = grid_size(self.geometry, self.j)
         if self.values.shape[0] != expected:
             raise ValueError(
                 f"level-{self.j} grid on S^{self.geometry.n} has {expected} nodes, "
@@ -351,20 +372,20 @@ def analyze_coeffs(signal: GridSignal) -> np.ndarray:
 
 def analyze(signal: GridSignal) -> Spectrum:
     """analyze_coeffs as a Spectrum on I_j."""
-    coeffs = analyze_coeffs(signal)
-    indices = space_indices(signal.geometry, signal.j)
-    return Spectrum(signal.geometry, signal.j, dict(zip(indices, coeffs.tolist())))
+    return Spectrum(signal.geometry, signal.j, analyze_coeffs(signal))
 
 
 def synthesize(spectrum: Spectrum, points) -> complex | np.ndarray:
-    """Evaluate sum a_i Y_i at one point or a sequence of points."""
+    """Evaluate sum a_i Y_i, over the nonzero a_i, at one point or a
+    sequence of points."""
     single = isinstance(points, SphericalPoint)
     pts = [points] if single else list(points)
-    indices = [ix for ix in spectrum.entries]
-    if not indices:
+    nonzero = np.flatnonzero(spectrum.coeffs)
+    if not len(nonzero):
         return 0.0 + 0.0j if single else np.zeros(len(pts), dtype=complex)
-    basis = _basis_at_points(spectrum.geometry, indices, pts)
-    values = spectrum.vector(indices) @ basis
+    indices = space_indices(spectrum.geometry, spectrum.j)
+    basis = _basis_at_points(spectrum.geometry, [indices[p] for p in nonzero], pts)
+    values = spectrum.coeffs[nonzero] @ basis
     return complex(values[0]) if single else values
 
 
@@ -414,8 +435,7 @@ def synthesize_coeffs(
 
 def synthesize_on_grid(spectrum: Spectrum, j_grid: int) -> GridSignal:
     """Evaluate the spectrum at every node of N_{j_grid} (see synthesize_coeffs)."""
-    indices = space_indices(spectrum.geometry, spectrum.j)
-    return synthesize_coeffs(spectrum.geometry, spectrum.j, spectrum.vector(indices), j_grid)
+    return synthesize_coeffs(spectrum.geometry, spectrum.j, spectrum.coeffs, j_grid)
 
 
 # ---------------------------------------------------------------------------
@@ -592,11 +612,9 @@ def _as_samples(f: Spectrum | GridSignal, j: int) -> GridSignal:
         if f.j != j:
             raise ValueError(f"signal at level {f.j} passed for level {j}")
         return f
-    top = max((ix.l for ix in f.entries), default=0)
-    if top > space_degree_bound(j):
-        raise ValueError(
-            f"spectrum reaches degree {top}, outside the level-{j} space"
-        )
+    if j < f.j and np.any(f.coeffs[_band_slice(f.geometry, j, wavelet=False).stop :]):
+        top = space_indices(f.geometry, f.j)[np.flatnonzero(f.coeffs)[-1]].l
+        raise ValueError(f"spectrum reaches degree {top}, outside the level-{j} space")
     return synthesize_on_grid(f, j)
 
 

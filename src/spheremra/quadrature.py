@@ -203,14 +203,16 @@ def grid_size(geometry: SphereGeometry, j: int) -> int:
 def checked_grid_shape(geometry: SphereGeometry, j: int) -> tuple[int, ...]:
     """grid_shape, after the node-cap guard.  Everything that allocates per
     node calls this first, outside any cache, so a result cached under a
-    generous cap cannot dodge a later, tighter one."""
-    shape = grid_shape(geometry, j)
-    if math.prod(shape) > node_cap():
+    generous cap cannot dodge a later, tighter one.  N_j has over
+    2^max(j, n) nodes, so a level or a dimension past the cap's bit length is
+    refused before any integer of that size is formed."""
+    cap = node_cap()
+    if max(j, geometry.n) > cap.bit_length() or grid_size(geometry, j) > cap:
         raise ValueError(
-            f"level-{j} grid on S^{geometry.n} has {math.prod(shape)} nodes, "
-            f"beyond the cap {node_cap()}; raise {_NODE_CAP_ENV} to override"
+            f"level-{j} grid on S^{geometry.n} has more nodes than the cap {cap}; "
+            f"raise {_NODE_CAP_ENV} to override"
         )
-    return shape
+    return grid_shape(geometry, j)
 
 
 def grid_axes(geometry: SphereGeometry, j: int) -> tuple[list[np.ndarray], np.ndarray]:

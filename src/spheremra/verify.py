@@ -26,13 +26,12 @@ from .mra import (
     GridSignal,
     Spectrum,
     analysis_constant,
-    analyze,
+    analyze_coeffs,
     frame_constant,
     scaling_integral,
     scaling_kernel,
     scaling_norm_sq,
     space_degree_bound,
-    space_indices,
     synthesize,
     synthesize_on_grid,
     wavelet_frame_constant,
@@ -105,9 +104,11 @@ def _random_spectrum(
 ) -> Spectrum:
     """Random coefficients on the band of V_j, or of W_j when `wavelet` (then
     in a level-(j+1) container)."""
-    indices = space_indices(geometry, j + wavelet)[mra._band_slice(geometry, j, wavelet)]
-    values = rng.normal(size=len(indices)) + 1j * rng.normal(size=len(indices))
-    return Spectrum(geometry, j + wavelet, dict(zip(indices, values.tolist())))
+    band = mra._band_slice(geometry, j, wavelet)
+    size = band.stop - band.start
+    coeffs = np.zeros(band.stop, dtype=complex)
+    coeffs[band] = rng.normal(size=size) + 1j * rng.normal(size=size)
+    return Spectrum(geometry, j + wavelet, coeffs)
 
 
 def _random_points(
@@ -172,16 +173,12 @@ def _two_scale_record(geometry: SphereGeometry, j: int, tol: float) -> CertRecor
     x0 = SphericalPoint((1.0,) * (geometry.n - 1), 0.7)
     nodes = mra._node_cartesians(geometry, j + 1)
     dots = np.clip(nodes @ x0.cartesian(), -1.0, 1.0)
-    fine = analyze(GridSignal(geometry, j + 1, scaling_kernel(geometry, j + 1, dots)))
-    det = analyze(GridSignal(geometry, j + 1, wavelet_kernel(geometry, j, dots)))
-    bound = space_degree_bound(j)
-    band = [ix for ix in fine.entries if ix.l > bound]
-    floor = 1e-6 * max(abs(fine.entries[ix]) for ix in band)
-    ratios = [
-        det.entries[ix] / fine.entries[ix]
-        for ix in band
-        if abs(fine.entries[ix]) > floor
-    ]
+    band = mra._band_slice(geometry, j, wavelet=True)
+    fine = analyze_coeffs(GridSignal(geometry, j + 1, scaling_kernel(geometry, j + 1, dots)))
+    det = analyze_coeffs(GridSignal(geometry, j + 1, wavelet_kernel(geometry, j, dots)))
+    fine, det = fine[band].tolist(), det[band].tolist()
+    floor = 1e-6 * max(abs(c) for c in fine)
+    ratios = [d / c for d, c in zip(det, fine) if abs(c) > floor]
     measured = float(np.mean(np.real(ratios)))
     deviation = float(np.max(np.abs(np.array(ratios) / expected - 1.0)))
     return CertRecord("wavelet two-scale factor", geometry.n, j, expected, measured, deviation, tol)
@@ -213,61 +210,24 @@ def _closed_form_records(
 
 
 def _variant_records(geometry: SphereGeometry, j: int) -> list[VariantRecord]:
-    n = geometry.n
-    sigma = geometry.measure
-    dim_fine = dim_pi(geometry, 2**j - 1)
-    dim_coarse = dim_pi(geometry, space_degree_bound(j))
-    return [
-        VariantRecord(
-            "analysis constant without measure normalization",
-            n,
-            j,
-            analysis_constant(geometry, j),
-            math.pi / 2.0**j,
-        ),
-        VariantRecord(
-            "scaling synthesis constant without measure normalization",
-            n,
-            j,
-            synthesis_constant(geometry, j),
-            math.sqrt(2.0 ** (j * (n - 2))) * math.pi,
-        ),
-        VariantRecord(
-            "scaling frame constant, alternate form 2^(nj-1) pi",
-            n,
-            j,
-            frame_constant(geometry, j),
-            2.0 ** (n * j - 1) * math.pi,
-        ),
-        VariantRecord(
-            "wavelet synthesis constant without measure normalization",
-            n,
-            j,
-            wavelet_synthesis_constant(geometry, j),
-            math.sqrt(2.0 ** ((n - 2) * j - 2)) * math.pi,
-        ),
-        VariantRecord(
-            "wavelet frame constant, alternate unsquared form",
-            n,
-            j,
-            wavelet_frame_constant(geometry, j),
-            math.sqrt(2.0 ** ((n - 2) * j - 2)) * math.pi / sigma,
-        ),
-        VariantRecord(
-            "wavelet norm squared, alternate degenerate form",
-            n,
-            j,
-            wavelet_norm_sq(geometry, j),
-            2.0 ** (-n * j) * (2.0**-n * dim_fine - dim_coarse),
-        ),
-        VariantRecord(
-            "wavelet two-scale factor, alternate value 1",
-            n,
-            j,
-            2.0 ** (n / 2.0),
-            1.0,
-        ),
+    n, sigma = geometry.n, geometry.measure
+    dim_fine, dim_coarse = dim_pi(geometry, 2**j - 1), dim_pi(geometry, space_degree_bound(j))
+    forms = [
+        ("analysis constant without measure normalization",
+         analysis_constant(geometry, j), math.pi / 2.0**j),
+        ("scaling synthesis constant without measure normalization",
+         synthesis_constant(geometry, j), math.sqrt(2.0 ** (j * (n - 2))) * math.pi),
+        ("scaling frame constant, alternate form 2^(nj-1) pi",
+         frame_constant(geometry, j), 2.0 ** (n * j - 1) * math.pi),
+        ("wavelet synthesis constant without measure normalization",
+         wavelet_synthesis_constant(geometry, j), math.sqrt(2.0 ** ((n - 2) * j - 2)) * math.pi),
+        ("wavelet frame constant, alternate unsquared form", wavelet_frame_constant(geometry, j),
+         math.sqrt(2.0 ** ((n - 2) * j - 2)) * math.pi / sigma),
+        ("wavelet norm squared, alternate degenerate form",
+         wavelet_norm_sq(geometry, j), 2.0 ** (-n * j) * (2.0**-n * dim_fine - dim_coarse)),
+        ("wavelet two-scale factor, alternate value 1", 2.0 ** (n / 2.0), 1.0),
     ]
+    return [VariantRecord(name, n, j, adopted, variant) for name, adopted, variant in forms]
 
 
 def certify(

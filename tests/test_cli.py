@@ -262,6 +262,12 @@ _SPECTRUM_ROW = '{"l": 0, "k": [0], "sign": 1, "re": 1.0, "im": 0.0}'
 def test_exit_contract_holes_end_in_one_error_line(tmp_path, capsys, document, argv):
     """Each input ends with exit 1, one `error:` line (no traceback, no
     warning), no output file, within 2 s."""
+    _one_error_line(tmp_path, capsys, document, argv)
+
+
+def _one_error_line(tmp_path, capsys, document, argv):
+    """Run argv on the document; assert the exit contract's failure branch
+    and return the error line."""
     path, out = tmp_path / "in.json", tmp_path / "out.json"
     path.write_text(document)
     argv = [argv[0], "--in", str(path)] + argv[1:]
@@ -278,3 +284,66 @@ def test_exit_contract_holes_end_in_one_error_line(tmp_path, capsys, document, a
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
     assert not out.exists()
+    return captured.err
+
+
+def _signal_header(n, j):
+    return f'{{"n": {n}, "j": {j}, "values": []}}'
+
+
+@pytest.mark.parametrize(
+    "document,argv",
+    [
+        (_signal_header(2, 3_000_000), ["analyze"]),
+        (f'{{"base": {_signal_header(2, 3_000_000)}, "details": []}}', ["reconstruct"]),
+        (f'{{"base": {_documents("1")["signal"]}, "details": [{_signal_header(2, 10**12)}]}}',
+         ["reconstruct"]),
+        (_signal_header(100_000, 1), ["analyze"]),
+        ('{"n": 100000, "j": 1, "entries": []}', ["synthesize", "--grid", "1"]),
+        ('{"n": 2, "j": 1, "entries": []}', ["synthesize", "--grid", "100000000"]),
+    ],
+    ids=[
+        "signal-level", "pyramid-base-level", "pyramid-detail-level",
+        "signal-dimension", "spectrum-dimension", "synthesize-grid-level",
+    ],
+)
+def test_headers_past_the_node_cap_are_sized_first(tmp_path, capsys, document, argv):
+    """A level or a sphere dimension past the cap's bit length is refused
+    before the node count it implies is formed."""
+    err = _one_error_line(tmp_path, capsys, document, argv)
+    assert "cap" in err
+
+
+def _spectrum_row(**fields):
+    row = {"l": "0", "k": "[0]", "sign": "1", "re": "1.5", "im": "0"}
+    row.update(fields)
+    body = ", ".join(f'"{key}": {value}' for key, value in row.items())
+    return f'{{"n": 2, "j": 1, "entries": [{{{body}}}]}}'
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("l", "0.9"), ("l", "true"), ("l", '"0"'),
+        ("k", "[0.0]"), ("k", "[false]"), ("k", '"0"'),
+        ("sign", "1.0"), ("sign", "true"),
+        ("re", '"1.5"'), ("re", "true"), ("re", "null"),
+        ("im", "true"), ("im", '"0"'), ("im", "[0]"),
+    ],
+)
+def test_spectrum_rows_are_strictly_typed(tmp_path, capsys, field, value):
+    """l, each k and sign must be JSON integers; re and im JSON numbers."""
+    err = _one_error_line(
+        tmp_path, capsys, _spectrum_row(**{field: value}), ["synthesize", "--grid", "1"]
+    )
+    assert f"{field} must be" in err
+
+
+@pytest.mark.parametrize("re,im", [("1", "0"), ("-2", "3"), ("1.5", "-0.0")])
+def test_spectrum_rows_take_whole_numbers_as_integers(tmp_path, re, im):
+    """%.17g writes a whole-number float as an integer, which reads back."""
+    path, out = tmp_path / "in.json", tmp_path / "out.json"
+    path.write_text(_spectrum_row(re=re, im=im))
+    assert run(["synthesize", "--in", str(path), "--grid", "1", "--out", str(out)]) == 0
+    values = signal_from_json(out.read_text()).values
+    assert np.all(values == complex(float(re), float(im)))

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spheremra.formats import (
     format_float,
@@ -153,3 +155,20 @@ def test_readers_refuse_deep_nesting_and_repeated_indices():
     row = '{"l": 1, "k": [1], "sign": -1, "re": 1.0, "im": 0.0}'
     with pytest.raises(ValueError, match="twice"):
         spectrum_from_json(f'{{"n": 2, "j": 2, "entries": [{row}, {row}]}}')
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, -5e-324, 1.797e308, -1.797e308, 1.0, -3.0]
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.sampled_from([(2, 1), (2, 2), (2, 3), (3, 2), (4, 2)]), data=st.data())
+def test_spectrum_wire_round_trip_is_bitwise(case, data):
+    n, j = case
+    geo = SphereGeometry(n)
+    size = 2 * len(space_indices(geo, j))
+    parts = data.draw(st.lists(FINITE, min_size=size, max_size=size))
+    spectrum = Spectrum(geo, j, np.array(parts, dtype=float).view(complex))
+    back = spectrum_from_json(spectrum_to_json(spectrum))
+    assert back.coeffs.tobytes() == spectrum.coeffs.tobytes()

@@ -5,7 +5,7 @@ and behind the node-cap guard."""
 import numpy as np
 import pytest
 
-from spheremra import mra
+from spheremra import harmonics, mra
 from spheremra.harmonics import SphereGeometry
 from spheremra.mra import (
     GridSignal,
@@ -81,3 +81,27 @@ def test_node_cap_fires_before_any_table(monkeypatch):
     with pytest.raises(ValueError, match="cap"):
         synthesize_on_grid(spectrum, 3)
     assert mra._polar_tables_cached.cache_info() == before
+
+
+def test_grid_transforms_never_enumerate_indices(monkeypatch):
+    """analyze and synthesize_on_grid pass the coefficient vector straight
+    through: neither lists I_j.  (The dense-position table enumerates once
+    per (n, degree) into its cache, so the caches are warmed first.)"""
+    geometry, j = SphereGeometry(3), 3
+    coeffs = random_coeffs(geometry, j, np.random.default_rng(11))
+    analyze(synthesize_on_grid(Spectrum(geometry, j, coeffs), j))
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+
+        return wrapper
+
+    for module, name in [(mra, "space_indices"), (mra, "enumerate_indices"),
+                         (harmonics, "enumerate_indices")]:
+        monkeypatch.setattr(module, name, counted(getattr(module, name)))
+    back = analyze(synthesize_on_grid(Spectrum(geometry, j, coeffs), j))
+    assert calls == []
+    assert max_rel_error(back.coeffs, coeffs) <= 1e-10
