@@ -7,7 +7,8 @@ enumeration order; the reader takes any subset, an absent index being zero.
 Readers accept anything json.loads produces for those documents, except
 non-finite numbers (NaN, Infinity and literals that overflow a float), pairs
 that are not an (N, 2) array of numbers, spectrum rows whose l, k or sign is
-not a JSON integer or whose re or im is not a JSON number, a repeated
+not a JSON integer or whose re or im is not a JSON number, a header n or
+j that is not a JSON integer, a lambda that is not a JSON number, a repeated
 spectrum index and nesting too deep to parse; each raises ValueError.
 
     GridSignal    {"n": 2, "j": 3, "values": [[re, im], ...]}   grid order
@@ -101,7 +102,7 @@ def signal_to_json(signal: GridSignal) -> str:
 
 def _signal_from_obj(obj: dict) -> GridSignal:
     try:
-        n, j, raw = int(obj["n"]), int(obj["j"]), obj["values"]
+        n, j, raw = _json_int(obj["n"], "n"), _json_int(obj["j"], "j"), obj["values"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed signal document: {exc}") from exc
     return GridSignal(SphereGeometry(n), j, _complex_pairs(raw, "values"))
@@ -149,7 +150,7 @@ def _json_number(value, name: str) -> float:
 def spectrum_from_json(text: str) -> Spectrum:
     obj = _loads(text)
     try:
-        n, j = int(obj["n"]), int(obj["j"])
+        n, j = _json_int(obj["n"], "n"), _json_int(obj["j"], "j")
         entries: dict[HarmonicIndex, complex] = {}
         for row in obj["entries"]:
             chain = tuple(_json_int(k, "k") for k in row["k"])
@@ -206,7 +207,7 @@ def zonal_to_json(spec: ZonalSpectrum) -> str:
 def zonal_from_json(text: str) -> ZonalSpectrum:
     obj = _loads(text)
     try:
-        lam = float(obj["lambda"])
+        lam = _json_number(obj["lambda"], "lambda")
         coeffs = _complex_pairs(obj["coeffs"], "coeffs")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed zonal document: {exc}") from exc

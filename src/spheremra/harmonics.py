@@ -15,6 +15,7 @@ Inner products are normalized by the total measure Sigma_n of S^n, so
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -22,7 +23,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .specfun import GegenbauerParams, gegenbauer_norm_1d, gegenbauer_table
+from .specfun import GegenbauerParams, gegenbauer_norm_1d, gegenbauer_sequence, gegenbauer_table
 
 __all__ = [
     "SphereGeometry",
@@ -234,14 +235,17 @@ def azimuth_profile(index: HarmonicIndex, phis) -> np.ndarray:
 def harmonic_eval(
     geometry: SphereGeometry, index: HarmonicIndex, point: SphericalPoint
 ) -> complex:
-    """Value of Y_l^k at a point of S^n."""
+    """Value of Y_l^k at a point of S^n, on Python floats: one recurrence
+    per polar angle, up to the degree that angle needs."""
     _check_index(geometry, index)
     if point.n != geometry.n:
         raise ValueError(f"point on S^{point.n} passed for S^{geometry.n}")
     value = normalization_constant(geometry, index)
-    for nu in range(1, geometry.n):
-        value *= float(axis_profile(geometry, index, nu, point.thetas[nu - 1]))
-    return value * complex(azimuth_profile(index, point.phi))
+    for nu, theta in enumerate(point.thetas, start=1):
+        d, lam_nu, k_nu = _axis_order(geometry, index, nu)
+        *_, factor = gegenbauer_sequence(lam_nu, d, math.cos(theta))
+        value *= factor * math.sin(theta) ** k_nu
+    return value * cmath.exp(1j * index.sign * index.chain[-1] * point.phi)
 
 
 def addition_kernel(geometry: SphereGeometry, l: int, x: SphericalPoint, y: SphericalPoint) -> float:

@@ -25,6 +25,15 @@ exact point samples.  That costs O(M^(n+1)) time and
 (n-1) (M/2)^2 (M+1) table entries, in place of a dense (dim V_j) x (grid
 nodes) basis of O(M^(2n)) bytes (136 MB at S^2 j=6, 34 GB at j=8).
 
+Evaluation at scattered points (synthesize, and with it localization_check
+and verify's synthesis records) is batched by order: one exponential per
+azimuthal frequency and, per polar axis, one Gegenbauer table per order k_nu
+over every point, whose rows d = k_(nu-1) - k_nu are gathered per index.
+Every step is elementwise and in the order of the per-index reference
+oracle.point_basis, so the basis is bit-identical to it.  It reads none of
+the grid caches; its own cache holds each level's chains, signed azimuthal
+frequencies and normalization constants.
+
 A Spectrum is one coefficient vector on I_j in enumeration order (a mapping
 from HarmonicIndex to value is accepted and converted once).  The cores
 analyze_coeffs and synthesize_coeffs work on such vectors; analyze and
@@ -53,8 +62,6 @@ from .harmonics import (
     HarmonicIndex,
     SphereGeometry,
     SphericalPoint,
-    axis_profile,
-    azimuth_profile,
     dim_pi,
     enumerate_indices,
     normalization_constant,
@@ -62,7 +69,9 @@ from .harmonics import (
 from .quadrature import (
     _NODE_CAP_ENV, checked_grid_shape, grid_axes, level_weights, node_cap,
 )
-from .specfun import GegenbauerParams, ZonalSpectrum, gegenbauer_norm_1d, zonal_eval
+from .specfun import (
+    GegenbauerParams, ZonalSpectrum, gegenbauer_norm_1d, gegenbauer_table, zonal_eval,
+)
 
 __all__ = [
     "Spectrum",
@@ -324,23 +333,55 @@ def _harmonic_scale(geometry: SphereGeometry) -> float:
     return math.sqrt(geometry.measure / (2.0 * math.pi))
 
 
+@lru_cache(maxsize=8)
+def _point_factors(n: int, max_degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per index of degree <= max_degree, in enumeration order: the chain
+    (k_0 = l, k_1, ..., k_(n-1)) as a row, the signed azimuthal frequency
+    sign * k_(n-1) and A_l^k.  Point evaluation is the only caller."""
+    geometry = SphereGeometry(n)
+    indices = enumerate_indices(geometry, max_degree)
+    chains = np.array([(ix.l,) + ix.chain for ix in indices])
+    frequencies = np.array([ix.sign * ix.chain[-1] for ix in indices])
+    norms = np.array([normalization_constant(geometry, ix) for ix in indices])
+    for array in (chains, frequencies, norms):
+        array.setflags(write=False)
+    return chains, frequencies, norms
+
+
 def _basis_at_points(
-    geometry: SphereGeometry, indices: Sequence[HarmonicIndex], points: Sequence[SphericalPoint]
+    geometry: SphereGeometry, max_degree: int, positions: np.ndarray, points: Sequence[SphericalPoint]
 ) -> np.ndarray:
+    """B[i, p] = Y_i at points[p] for the indices at `positions` (enumeration
+    order, degree <= max_degree), bit for bit oracle.point_basis (see the
+    module docstring).  Gathering rows d = k_(nu-1) - k_nu from one table per
+    order is exact because row d does not depend on the table's top degree."""
+    n = geometry.n
     for p in points:
-        if p.n != geometry.n:
-            raise ValueError(f"point on S^{p.n} passed for S^{geometry.n}")
-    thetas = [
-        np.array([p.thetas[nu - 1] for p in points]) for nu in range(1, geometry.n)
-    ]
+        if p.n != n:
+            raise ValueError(f"point on S^{p.n} passed for S^{n}")
+    thetas = [np.array([p.thetas[nu - 1] for p in points]) for nu in range(1, n)]
     phis = np.array([p.phi for p in points])
-    rows = np.empty((len(indices), len(points)), dtype=complex)
-    for i, ix in enumerate(indices):
-        row = normalization_constant(geometry, ix) * azimuth_profile(ix, phis)
-        for nu in range(1, geometry.n):
-            row = row * axis_profile(geometry, ix, nu, thetas[nu - 1])
-        rows[i] = row
-    return rows
+    chains, frequencies, norms = (a[positions] for a in _point_factors(n, max_degree))
+    distinct, which = np.unique(frequencies, return_inverse=True)
+    # azimuth_profile's expression 1j * sign * k, then A_l^k times it, then
+    # the polar factors nu = 1..n-1: the reference's operands in its order
+    azimuths = np.array(
+        [np.exp(1j * (1 if m >= 0 else -1) * abs(m) * phis) for m in distinct.tolist()]
+    )
+    basis = azimuths[which]
+    np.multiply(norms[:, None], basis, out=basis)
+    factor = np.empty(basis.shape)
+    for nu in range(1, n):
+        cosines, sines = np.cos(thetas[nu - 1]), np.sin(thetas[nu - 1])
+        orders, degrees = chains[:, nu], chains[:, nu - 1] - chains[:, nu]
+        for k in np.unique(orders).tolist():
+            rows = orders == k
+            table = gegenbauer_table((n - nu) / 2.0 + k, int(degrees[rows].max()), cosines)
+            # a scalar exponent, as in axis_profile: numpy squares on a fast
+            # path at k = 2; sines**0 is exactly 1
+            factor[rows] = table[degrees[rows]] * sines**k
+        basis *= factor
+    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -383,8 +424,7 @@ def synthesize(spectrum: Spectrum, points) -> complex | np.ndarray:
     nonzero = np.flatnonzero(spectrum.coeffs)
     if not len(nonzero):
         return 0.0 + 0.0j if single else np.zeros(len(pts), dtype=complex)
-    indices = space_indices(spectrum.geometry, spectrum.j)
-    basis = _basis_at_points(spectrum.geometry, [indices[p] for p in nonzero], pts)
+    basis = _basis_at_points(spectrum.geometry, space_degree_bound(spectrum.j), nonzero, pts)
     values = spectrum.coeffs[nonzero] @ basis
     return complex(values[0]) if single else values
 

@@ -3,8 +3,9 @@
 Everything here is deliberately naive: composite Simpson integration over the
 polar-coordinate box (never the equiangular quadrature rules or the discrete
 transforms), Gegenbauer values from the exact rational expansion of the
-generating function (never the recurrence), and a dense harmonic basis on the
-grid nodes built one harmonic at a time (never the separable transform).
+generating function (never the recurrence), and dense harmonic bases on the
+grid nodes or at points, built one harmonic at a time (never the separable
+transform or the batched point evaluator).
 Accuracy comes from resolution, and self-consistency is checked by comparing
 two resolutions.
 
@@ -19,6 +20,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
@@ -44,6 +46,7 @@ __all__ = [
     "zonal_convolution",
     "brute_fourier",
     "grid_basis",
+    "point_basis",
     "generating_function_gegenbauer",
 ]
 
@@ -239,6 +242,28 @@ def grid_basis(
     script = ",".join("i" + letters[ax] for ax in range(n))
     matrix = np.einsum(f"{script}->i{letters[:n]}", *operands)
     return indices, matrix.reshape(len(indices), -1)
+
+
+def point_basis(
+    geometry: SphereGeometry, indices: Sequence[HarmonicIndex], points: Sequence[SphericalPoint]
+) -> np.ndarray:
+    """Matrix B[i, p] = Y_i at points[p], built one harmonic at a time from
+    A_l^k, the azimuthal profile and the per-angle profiles (in that order):
+    the reference for the batched point evaluator in mra."""
+    for p in points:
+        if p.n != geometry.n:
+            raise ValueError(f"point on S^{p.n} passed for S^{geometry.n}")
+    thetas = [
+        np.array([p.thetas[nu - 1] for p in points]) for nu in range(1, geometry.n)
+    ]
+    phis = np.array([p.phi for p in points])
+    rows = np.empty((len(indices), len(points)), dtype=complex)
+    for i, ix in enumerate(indices):
+        row = normalization_constant(geometry, ix) * azimuth_profile(ix, phis)
+        for nu in range(1, geometry.n):
+            row = row * axis_profile(geometry, ix, nu, thetas[nu - 1])
+        rows[i] = row
+    return rows
 
 
 def generating_function_gegenbauer(lam: float, degree: int, t: float, cap: int = 64) -> float:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 from scipy.special import gammaln
@@ -19,6 +20,7 @@ __all__ = [
     "GegenbauerParams",
     "ZonalSpectrum",
     "gegenbauer",
+    "gegenbauer_sequence",
     "gegenbauer_table",
     "gegenbauer_at_one",
     "gegenbauer_norm_1d",
@@ -74,12 +76,30 @@ def _check_domain(t: np.ndarray) -> np.ndarray:
     return np.clip(t, -1.0, 1.0)
 
 
+def gegenbauer_sequence(lam: float, max_degree: int, t) -> Iterator:
+    """C_0^lambda(t), ..., C_max_degree^lambda(t), one at a time, by the
+    three-term recurrence (l+1) C_{l+1} = 2(l+lambda) t C_l - (l+2lambda-1) C_{l-1}.
+
+    t is a Python float or a float array, taken as given (no domain check).
+    Every step is elementwise, so an array gives, entry by entry, the bits a
+    float gives.
+    """
+    prev = 1.0
+    yield prev
+    if max_degree >= 1:
+        cur = 2.0 * lam * t
+        yield cur
+        for l in range(1, max_degree):
+            prev, cur = cur, (2.0 * (l + lam) * t * cur - (l + 2.0 * lam - 1.0) * prev) / (l + 1.0)
+            yield cur
+
+
 def gegenbauer_table(lam: float, max_degree: int, t) -> np.ndarray:
     """Values of C_l^lambda(t) for every l = 0..max_degree.
 
-    Returns an array of shape (max_degree + 1,) + shape(t).  The three-term
-    recurrence (l+1) C_{l+1} = 2(l+lambda) t C_l - (l+2lambda-1) C_{l-1} is
-    stable on [-1, 1] and is used directly, including at the endpoints.
+    Returns an array of shape (max_degree + 1,) + shape(t).  The recurrence of
+    gegenbauer_sequence is stable on [-1, 1] and is used directly, including
+    at the endpoints.  Row l does not depend on max_degree.
     """
     if not lam > 0:
         raise ValueError(f"order lambda must be positive, got {lam}")
@@ -87,11 +107,8 @@ def gegenbauer_table(lam: float, max_degree: int, t) -> np.ndarray:
         raise ValueError(f"max_degree must be nonnegative, got {max_degree}")
     t = _check_domain(t)
     out = np.empty((max_degree + 1,) + t.shape, dtype=float)
-    out[0] = 1.0
-    if max_degree >= 1:
-        out[1] = 2.0 * lam * t
-    for l in range(1, max_degree):
-        out[l + 1] = (2.0 * (l + lam) * t * out[l] - (l + 2.0 * lam - 1.0) * out[l - 1]) / (l + 1.0)
+    for l, value in enumerate(gegenbauer_sequence(lam, max_degree, t)):
+        out[l] = value
     return out
 
 

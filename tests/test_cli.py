@@ -347,3 +347,29 @@ def test_spectrum_rows_take_whole_numbers_as_integers(tmp_path, re, im):
     assert run(["synthesize", "--in", str(path), "--grid", "1", "--out", str(out)]) == 0
     values = signal_from_json(out.read_text()).values
     assert np.all(values == complex(float(re), float(im)))
+
+
+_ROW = '{"l": 0, "k": [0], "sign": 1, "re": 1.5, "im": 0}'
+
+
+@pytest.mark.parametrize(
+    "document,argv,field",
+    [
+        (f'{{"n": 2.7, "j": 1, "entries": [{_ROW}]}}', ["synthesize", "--grid", "1"], "n"),
+        (f'{{"n": 2, "j": true, "entries": [{_ROW}]}}', ["synthesize", "--grid", "1"], "j"),
+        (f'{{"n": 2, "j": "2", "entries": [{_ROW}]}}', ["synthesize", "--grid", "1"], "j"),
+        (_signal_header(2, 3.9), ["analyze"], "j"),
+        (f'{{"base": {_signal_header("2.0", 1)}, "details": []}}', ["reconstruct"], "n"),
+        ('{"lambda": true, "coeffs": [[1, 0], [0.5, 0]]}', ["uncertainty"], "lambda"),
+        ('{"lambda": "1.5", "coeffs": [[1, 0], [0.5, 0]]}', ["uncertainty"], "lambda"),
+    ],
+    ids=[
+        "spectrum-n-float", "spectrum-j-bool", "spectrum-j-string", "signal-j-float",
+        "pyramid-n-float", "zonal-lambda-bool", "zonal-lambda-string",
+    ],
+)
+def test_headers_are_strictly_typed(tmp_path, capsys, document, argv, field):
+    """n and j must be JSON integers and lambda a JSON number: a float, a
+    bool or a numeric string is refused, not coerced."""
+    err = _one_error_line(tmp_path, capsys, document, argv)
+    assert f"{field} must be" in err

@@ -19,7 +19,7 @@ from spheremra.formats import (
 from spheremra.harmonics import SphereGeometry
 from spheremra.mra import GridSignal, Spectrum, space_indices, synthesize_on_grid
 from spheremra.specfun import ZonalSpectrum
-from spheremra.transform import pyramid_decompose
+from spheremra.transform import Pyramid, pyramid_decompose
 
 
 def random_signal(n, j, rng):
@@ -172,3 +172,49 @@ def test_spectrum_wire_round_trip_is_bitwise(case, data):
     spectrum = Spectrum(geo, j, np.array(parts, dtype=float).view(complex))
     back = spectrum_from_json(spectrum_to_json(spectrum))
     assert back.coeffs.tobytes() == spectrum.coeffs.tobytes()
+
+
+def _draw_values(data, count):
+    parts = data.draw(st.lists(FINITE, min_size=2 * count, max_size=2 * count))
+    return np.array(parts, dtype=float).view(complex)
+
+
+def _draw_signal(data, n, j):
+    count = (2**j + 1) ** (n - 1) * 2 ** (j + 1)
+    return GridSignal(SphereGeometry(n), j, _draw_values(data, count))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.sampled_from([(2, 1), (2, 2), (3, 1)]), data=st.data())
+def test_signal_wire_round_trip_is_bitwise(case, data):
+    signal = _draw_signal(data, *case)
+    back = signal_from_json(signal_to_json(signal))
+    assert (back.geometry, back.j) == (signal.geometry, signal.j)
+    assert back.values.tobytes() == signal.values.tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=st.sampled_from([(2, 0), (2, 1), (3, 0)]), data=st.data())
+def test_pyramid_wire_round_trip_is_bitwise(case, data):
+    n, levels = case
+    pyramid = Pyramid(
+        _draw_signal(data, n, 1), [_draw_signal(data, n, i + 1) for i in range(1, levels + 1)]
+    )
+    back = pyramid_from_json(pyramid_to_json(pyramid))
+    assert len(back.details) == levels
+    for got, want in zip([back.base] + back.details, [pyramid.base] + pyramid.details):
+        assert (got.geometry, got.j) == (want.geometry, want.j)
+        assert got.values.tobytes() == want.values.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    lam=st.floats(min_value=5e-324, allow_infinity=False) | st.sampled_from([0.5, 1.0, 1.797e308]),
+    count=st.integers(min_value=0, max_value=12),
+    data=st.data(),
+)
+def test_zonal_wire_round_trip_is_bitwise(lam, count, data):
+    spec = ZonalSpectrum(lam, _draw_values(data, count))
+    back = zonal_from_json(zonal_to_json(spec))
+    assert np.float64(back.lam).tobytes() == np.float64(lam).tobytes()
+    assert back.coeffs.tobytes() == spec.coeffs.tobytes()
