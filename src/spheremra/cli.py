@@ -274,6 +274,7 @@ def run(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    saved_cap = os.environ.get(_NODE_CAP_ENV)
     if args.node_cap is not None:
         if args.node_cap < 1:
             sys.stderr.write(f"node cap must be positive, got {args.node_cap}\n")
@@ -288,6 +289,11 @@ def run(argv: list[str] | None = None) -> int:
         # for a float in the weights of a huge sine power
         sys.stderr.write(f"error: {exc}\n")
         return 1
+    finally:
+        # --node-cap holds for this run only, not for later runs in the process
+        os.environ.pop(_NODE_CAP_ENV, None)
+        if saved_cap is not None:
+            os.environ[_NODE_CAP_ENV] = saved_cap
 
 
 def main(argv: list[str] | None = None) -> None:

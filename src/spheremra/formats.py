@@ -25,8 +25,8 @@ import math
 
 import numpy as np
 
-from .harmonics import HarmonicIndex, SphereGeometry
-from .mra import GridSignal, Spectrum, space_indices
+from .harmonics import HarmonicIndex, SphereGeometry, index_table
+from .mra import GridSignal, Spectrum, space_degree_bound
 from .specfun import ZonalSpectrum
 from .transform import Pyramid
 
@@ -114,11 +114,11 @@ def signal_from_json(text: str) -> GridSignal:
 
 def spectrum_to_json(spectrum: Spectrum) -> str:
     rows = []
-    indices = space_indices(spectrum.geometry, spectrum.j)
-    for index, value in zip(indices, spectrum.coeffs.tolist()):
-        ks = ", ".join(str(k) for k in index.chain)
+    table = index_table(spectrum.geometry.n, space_degree_bound(spectrum.j))
+    for (l, *chain, sign), value in zip(table.tolist(), spectrum.coeffs.tolist()):
+        ks = ", ".join(str(k) for k in chain)
         rows.append(
-            f'    {{"l": {index.l}, "k": [{ks}], "sign": {index.sign}, '
+            f'    {{"l": {l}, "k": [{ks}], "sign": {sign}, '
             f'"re": {format_float(value.real)}, "im": {format_float(value.imag)}}}'
         )
     body = ",\n".join(rows)

@@ -11,6 +11,13 @@ plus a sign on the azimuthal frequency k_{n-1}:
 
 Inner products are normalized by the total measure Sigma_n of S^n, so
 <Y, Y> = 1 with A_l^k fixed by the 1-d Gegenbauer norms.
+
+This module alone owns the index order, lexicographic on (l, k_1, ...,
+k_{n-1}) with sign +1 before -1.  index_table lists it; index_rank places a
+row, since the degree-k chains on S^m with their signs number dim Pi_k(S^(m-1)):
+
+    rank = sum_{nu=0}^{n-2} dim Pi_(k_nu - 1)(S^(n-nu))
+           + [k_{n-1} > 0] (2 k_{n-1} - 1) + [sign = -1],  dim Pi_(-1) = 0.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Sequence
 
 import numpy as np
 
@@ -33,6 +40,8 @@ __all__ = [
     "harmonic_count",
     "dim_pi",
     "enumerate_indices",
+    "index_table",
+    "index_rank",
     "normalization_constant",
     "harmonic_eval",
     "addition_kernel",
@@ -151,33 +160,43 @@ def dim_pi(geometry: SphereGeometry, m: int) -> int:
     return math.comb(n + m, n) + math.comb(n + m - 1, n)
 
 
-def _chains(top: int, length: int) -> Iterator[tuple[int, ...]]:
-    if length == 0:
-        yield ()
-        return
-    for k in range(top + 1):
-        for rest in _chains(k, length - 1):
-            yield (k,) + rest
+def index_table(n: int, max_degree: int) -> np.ndarray:
+    """Rows (l, k_1, ..., k_{n-1}, sign) of the indices of degree <=
+    max_degree on S^n, in order.  Per polar axis a ramp repeats row i k + 1
+    times with 0..k appended; the sign ramp repeats it twice where k > 0.
+    The columns are gathered through the repeats at the end: O(n) a row."""
+    if max_degree < 0:
+        raise ValueError(f"max degree must be nonnegative, got {max_degree}")
+    columns, sources = [np.arange(max_degree + 1)], []
+    for axis in range(n):
+        counts = columns[-1] + 1 if axis < n - 1 else 1 + (columns[-1] > 0)
+        sources.append(np.repeat(np.arange(len(counts)), counts))
+        columns.append(np.arange(len(sources[-1])) - np.repeat(np.cumsum(counts) - counts, counts))
+    columns[-1] = 1 - 2 * columns[-1]
+    rows = np.arange(len(columns[-1]))
+    for axis in range(n - 1, -1, -1):
+        rows = sources[axis][rows]
+        columns[axis] = columns[axis][rows]
+    return np.stack(columns, axis=1)
 
 
-@lru_cache(maxsize=None)
-def _indices_tuple(n: int, max_degree: int) -> tuple[HarmonicIndex, ...]:
-    out: list[HarmonicIndex] = []
-    for l in range(max_degree + 1):
-        for chain in _chains(l, n - 1):
-            out.append(HarmonicIndex(l, chain, 1))
-            if chain[-1]:
-                out.append(HarmonicIndex(l, chain, -1))
-    return tuple(out)
+def index_rank(n: int, rows) -> np.ndarray:
+    """Enumeration position of each valid index row (l, k_1, ..., k_{n-1},
+    sign) on S^n, by the module docstring's formula on exact dim_pi values."""
+    rows = np.asarray(rows, dtype=np.int64).reshape(-1, n + 1)
+    ranks = np.zeros(len(rows), dtype=np.int64)
+    for nu in range(n - 1):
+        sphere, ks = SphereGeometry(n - nu), rows[:, nu]
+        below = [0] + [dim_pi(sphere, m) for m in range(int(ks.max(initial=0)))]
+        ranks += np.array(below, dtype=np.int64)[ks]
+    return ranks + np.maximum(2 * rows[:, n - 1] - 1, 0) + (rows[:, n] == -1)
 
 
 def enumerate_indices(geometry: SphereGeometry, max_degree: int) -> list[HarmonicIndex]:
-    """All harmonic indices with l <= max_degree, in lexicographic order on
-    (l, k_1, ..., k_{n-1}) with sign +1 before -1.  The length equals
-    dim Pi_max_degree."""
-    if max_degree < 0:
-        raise ValueError(f"max degree must be nonnegative, got {max_degree}")
-    return list(_indices_tuple(geometry.n, max_degree))
+    """All harmonic indices with l <= max_degree, as the rows of
+    index_table.  The length equals dim Pi_max_degree."""
+    table = index_table(geometry.n, max_degree).tolist()
+    return [HarmonicIndex(l, tuple(chain), sign) for l, *chain, sign in table]
 
 
 def _axis_order(geometry: SphereGeometry, index: HarmonicIndex, nu: int) -> tuple[int, float, int]:
@@ -200,6 +219,14 @@ def _log_norm_1d(degree: int, lam: float) -> float:
     return math.log(gegenbauer_norm_1d(GegenbauerParams(lam, degree)))
 
 
+def _chain_normalization(n: int, ks: Sequence[int]) -> float:
+    """A_l^k from the chain (k_0 = l, k_1, ..., k_(n-1)) on S^n."""
+    log_a2 = math.log(total_measure(n)) - math.log(2.0 * math.pi)
+    for nu in range(1, n):
+        log_a2 -= _log_norm_1d(ks[nu - 1] - ks[nu], (n - nu) / 2.0 + ks[nu])
+    return math.exp(0.5 * log_a2)
+
+
 def normalization_constant(geometry: SphereGeometry, index: HarmonicIndex) -> float:
     """A_l^k making Y_l^k a unit vector in the Sigma_n-normalized inner product.
 
@@ -207,11 +234,7 @@ def normalization_constant(geometry: SphereGeometry, index: HarmonicIndex) -> fl
     Computed in log space; the azimuthal factor contributes the bare 2 pi.
     """
     _check_index(geometry, index)
-    log_a2 = math.log(geometry.measure) - math.log(2.0 * math.pi)
-    for nu in range(1, geometry.n):
-        d, lam_nu, _ = _axis_order(geometry, index, nu)
-        log_a2 -= _log_norm_1d(d, lam_nu)
-    return math.exp(0.5 * log_a2)
+    return _chain_normalization(geometry.n, (index.l,) + index.chain)
 
 
 def axis_profile(geometry: SphereGeometry, index: HarmonicIndex, nu: int, thetas) -> np.ndarray:

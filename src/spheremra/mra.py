@@ -35,9 +35,9 @@ the grid caches; its own cache holds each level's chains, signed azimuthal
 frequencies and normalization constants.
 
 A Spectrum is one coefficient vector on I_j in enumeration order (a mapping
-from HarmonicIndex to value is accepted and converted once).  The cores
-analyze_coeffs and synthesize_coeffs work on such vectors; analyze and
-synthesize_on_grid only wrap and unwrap them.
+from HarmonicIndex to value is accepted and only its own indices ranked).
+The cores analyze_coeffs and synthesize_coeffs work on such vectors;
+analyze and synthesize_on_grid only wrap and unwrap them.
 
 phi_j and psi_j are one kernel over two degree bands, [0, 2^(j-1)) for V_j
 and [2^(j-1), 2^j) for W_j (sampled on N_{j+1}).  One band core,
@@ -62,9 +62,11 @@ from .harmonics import (
     HarmonicIndex,
     SphereGeometry,
     SphericalPoint,
+    _chain_normalization,
     dim_pi,
     enumerate_indices,
-    normalization_constant,
+    index_rank,
+    index_table,
 )
 from .quadrature import (
     _NODE_CAP_ENV, checked_grid_shape, grid_axes, level_weights, node_cap,
@@ -122,9 +124,9 @@ class Spectrum:
     enumeration order (degrees up to 2^(j-1) - 1).
 
     The constructor also takes a mapping from HarmonicIndex to value, where
-    an absent index is zero, and converts it once.  `entries` is the
-    read-only {HarmonicIndex: complex} view over all of I_j, built on first
-    use.
+    an absent index is zero, and ranks only the indices it holds.  `entries`
+    is the read-only {HarmonicIndex: complex} view over all of I_j, built on
+    first use.
     """
 
     geometry: SphereGeometry
@@ -150,10 +152,9 @@ class Spectrum:
                     raise ValueError(f"index {index} incompatible with S^{n}")
                 if index.l > bound:
                     raise ValueError(f"degree {index.l} exceeds the level-{self.j} bound {bound}")
+            rows = [(ix.l,) + ix.chain + (ix.sign,) for ix in entries]
             self.coeffs = np.zeros(size, dtype=complex)
-            if entries:
-                position = {ix: p for p, ix in enumerate(space_indices(self.geometry, self.j))}
-                self.coeffs[[position[ix] for ix in entries]] = list(entries.values())
+            self.coeffs[index_rank(n, rows)] = list(entries.values())
         self.coeffs = np.asarray(self.coeffs, dtype=complex)
         if self.coeffs.shape != (size,):
             raise ValueError(
@@ -299,14 +300,9 @@ def _dense_positions(n: int, max_degree: int) -> np.ndarray:
     """Flat position of each index (enumeration order) in the dense array
     D[k_0, ..., k_(n-1), s] of shape (max_degree+1,)*n + (2,), where slot s
     is 0 for the azimuthal sign +1 and 1 for -1."""
-    size = max_degree + 1
-    rows = np.array(
-        [
-            (ix.l,) + ix.chain + ((1 - ix.sign) // 2,)
-            for ix in enumerate_indices(SphereGeometry(n), max_degree)
-        ]
-    )
-    positions = np.ravel_multi_index(tuple(rows.T), (size,) * n + (2,))
+    rows = index_table(n, max_degree)
+    rows[:, n] = (1 - rows[:, n]) // 2
+    positions = np.ravel_multi_index(tuple(rows.T), (max_degree + 1,) * n + (2,))
     positions.setflags(write=False)
     return positions
 
@@ -338,11 +334,9 @@ def _point_factors(n: int, max_degree: int) -> tuple[np.ndarray, np.ndarray, np.
     """Per index of degree <= max_degree, in enumeration order: the chain
     (k_0 = l, k_1, ..., k_(n-1)) as a row, the signed azimuthal frequency
     sign * k_(n-1) and A_l^k.  Point evaluation is the only caller."""
-    geometry = SphereGeometry(n)
-    indices = enumerate_indices(geometry, max_degree)
-    chains = np.array([(ix.l,) + ix.chain for ix in indices])
-    frequencies = np.array([ix.sign * ix.chain[-1] for ix in indices])
-    norms = np.array([normalization_constant(geometry, ix) for ix in indices])
+    table = index_table(n, max_degree)
+    chains, frequencies = table[:, :n], table[:, n] * table[:, n - 1]
+    norms = np.array([_chain_normalization(n, ks) for ks in chains.tolist()])
     for array in (chains, frequencies, norms):
         array.setflags(write=False)
     return chains, frequencies, norms
@@ -653,7 +647,7 @@ def _as_samples(f: Spectrum | GridSignal, j: int) -> GridSignal:
             raise ValueError(f"signal at level {f.j} passed for level {j}")
         return f
     if j < f.j and np.any(f.coeffs[_band_slice(f.geometry, j, wavelet=False).stop :]):
-        top = space_indices(f.geometry, f.j)[np.flatnonzero(f.coeffs)[-1]].l
+        top = index_table(f.geometry.n, space_degree_bound(f.j))[np.flatnonzero(f.coeffs)[-1], 0]
         raise ValueError(f"spectrum reaches degree {top}, outside the level-{j} space")
     return synthesize_on_grid(f, j)
 

@@ -5,6 +5,7 @@ asserted exactly as a shell user would see them.
 """
 
 import json
+import os
 import time
 import warnings
 
@@ -190,6 +191,23 @@ def test_node_cap_flag(tmp_path, capsys, monkeypatch):
                 "--grid", "2", "--out", str(out)]) == 1
     assert "error:" in capsys.readouterr().err
     assert run(["--node-cap", "0", "weights", "--M", "2", "--alpha", "1"]) == 1
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("before", [None, "10000000"])
+def test_node_cap_flag_holds_for_one_run(tmp_path, capsys, monkeypatch, before):
+    """A later run in the same process is not held to an earlier --node-cap,
+    and the variable ends as it started."""
+    if before is None:
+        monkeypatch.delenv(_NODE_CAP_ENV, raising=False)
+    else:
+        monkeypatch.setenv(_NODE_CAP_ENV, before)
+    signal = tmp_path / "sig.json"
+    signal.write_text(signal_to_json(synthesize_on_grid(make_spectrum(2, 1, 704), 1)))
+    assert run(["--node-cap", "10", "weights", "--M", "2", "--alpha", "1"]) == 0
+    # the level-1 grid on S^2 has 12 nodes, over the earlier run's cap
+    assert run(["analyze", "--in", str(signal), "--out", str(tmp_path / "spec.json")]) == 0
+    assert os.environ.get(_NODE_CAP_ENV) == before
     capsys.readouterr()
 
 

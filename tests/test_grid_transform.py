@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from spheremra import harmonics, mra
-from spheremra.harmonics import SphereGeometry
+from spheremra.harmonics import HarmonicIndex, SphereGeometry
 from spheremra.mra import (
     GridSignal,
     Spectrum,
@@ -21,6 +21,14 @@ from spheremra.quadrature import _NODE_CAP_ENV, grid_size, level_weights
 
 # every level the dense basis reaches on this scale of machine
 LADDER = [(n, j) for n, top in [(2, 6), (3, 4), (4, 3), (5, 2)] for j in range(1, top + 1)]
+
+
+def counted(fn, calls):
+    def wrapper(*args):
+        calls.append(fn.__name__)
+        return fn(*args)
+
+    return wrapper
 
 
 def random_coeffs(geometry, j, rng):
@@ -85,23 +93,30 @@ def test_node_cap_fires_before_any_table(monkeypatch):
 
 def test_grid_transforms_never_enumerate_indices(monkeypatch):
     """analyze and synthesize_on_grid pass the coefficient vector straight
-    through: neither lists I_j.  (The dense-position table enumerates once
-    per (n, degree) into its cache, so the caches are warmed first.)"""
+    through and take their positions from the integer index table: neither
+    lists I_j, even with the position cache cold."""
     geometry, j = SphereGeometry(3), 3
     coeffs = random_coeffs(geometry, j, np.random.default_rng(11))
-    analyze(synthesize_on_grid(Spectrum(geometry, j, coeffs), j))
+    mra._dense_positions.cache_clear()
     calls = []
-
-    def counted(fn):
-        def wrapper(*args):
-            calls.append(fn.__name__)
-            return fn(*args)
-
-        return wrapper
-
     for module, name in [(mra, "space_indices"), (mra, "enumerate_indices"),
                          (harmonics, "enumerate_indices")]:
-        monkeypatch.setattr(module, name, counted(getattr(module, name)))
+        monkeypatch.setattr(module, name, counted(getattr(module, name), calls))
     back = analyze(synthesize_on_grid(Spectrum(geometry, j, coeffs), j))
     assert calls == []
     assert max_rel_error(back.coeffs, coeffs) <= 1e-10
+
+
+def test_one_row_spectrum_ranks_only_its_row(monkeypatch):
+    """A mapping with one entry sets exactly its position, l^2 + 2k on S^2
+    (sign -1), and lists none of I_j: neither the HarmonicIndex enumeration
+    nor the integer index table is called."""
+    calls = []
+    for module in (harmonics, mra):
+        for name in ("enumerate_indices", "index_table"):
+            monkeypatch.setattr(module, name, counted(getattr(module, name), calls))
+    monkeypatch.setattr(mra, "space_indices", counted(mra.space_indices, calls))
+    spectrum = Spectrum(SphereGeometry(2), 11, {HarmonicIndex(1000, (37,), -1): 2.5 - 1j})
+    assert calls == []
+    assert np.flatnonzero(spectrum.coeffs).tolist() == [1000**2 + 2 * 37]
+    assert spectrum.coeffs[1000**2 + 2 * 37] == 2.5 - 1j

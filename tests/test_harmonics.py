@@ -1,5 +1,6 @@
 """Orthonormal spherical harmonics on S^n and the addition theorem."""
 
+import itertools
 import math
 
 import numpy as np
@@ -15,6 +16,8 @@ from spheremra.harmonics import (
     enumerate_indices,
     harmonic_count,
     harmonic_eval,
+    index_rank,
+    index_table,
     total_measure,
 )
 from spheremra.specfun import GegenbauerParams, gegenbauer
@@ -68,6 +71,49 @@ def test_space_dimension_is_sum_of_harmonic_counts(n):
             math.factorial(n) * math.factorial(m)
         )
         assert dim_pi(geo, m) == closed
+
+
+def reference_rows(n, max_degree):
+    """(l, k_1, ..., k_(n-1), sign) in enumeration order, from the
+    nonincreasing chains below each degree, sign +1 before -1."""
+    rows = []
+    for l in range(max_degree + 1):
+        pool = itertools.combinations_with_replacement(range(l + 1), n - 1)
+        for chain in sorted(c[::-1] for c in pool):
+            rows.append((l, *chain, 1))
+            if chain[-1]:
+                rows.append((l, *chain, -1))
+    return np.array(rows)
+
+
+def degree_with_about(n, count):
+    """The largest degree whose index set on S^n has at most `count` rows."""
+    geo = SphereGeometry(n)
+    return next(m for m in itertools.count() if dim_pi(geo, m + 1) > count)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_index_table_matches_the_chain_reference(n):
+    max_degree = degree_with_about(n, 2000)
+    table = index_table(n, max_degree)
+    np.testing.assert_array_equal(table, reference_rows(n, max_degree))
+    assert len(table) == dim_pi(SphereGeometry(n), max_degree)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_index_rank_gives_the_table_positions(n):
+    table = index_table(n, degree_with_about(n, 2000))
+    np.testing.assert_array_equal(index_rank(n, table), np.arange(len(table)))
+    picks = np.random.default_rng(n).choice(len(table), size=64, replace=False)
+    assert index_rank(n, table[picks].tolist()).tolist() == picks.tolist()
+    assert index_rank(n, []).shape == (0,)
+
+
+def test_enumeration_of_a_high_dimension_needs_no_recursion():
+    """Degree 0 has one index; degree 1 has n chains and one extra sign."""
+    indices = enumerate_indices(SphereGeometry(1500), 1)
+    assert len(indices) == 1502
+    assert indices[-1] == HarmonicIndex(1, (1,) * 1499, -1)
 
 
 def test_enumeration_order_and_sizes():

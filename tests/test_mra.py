@@ -353,7 +353,7 @@ def test_validation_errors():
     spectrum = Spectrum(geo, 2, {HarmonicIndex(1, (0,), 1): 1.0})
     with pytest.raises(ValueError):
         synthesize_on_grid(spectrum, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="reaches degree 1,"):
         frame_functional(spectrum, 1)  # spectrum degree exceeds V_1
 
 
