@@ -199,12 +199,10 @@ def enumerate_indices(geometry: SphereGeometry, max_degree: int) -> list[Harmoni
     return [HarmonicIndex(l, tuple(chain), sign) for l, *chain, sign in table]
 
 
-def _axis_order(geometry: SphereGeometry, index: HarmonicIndex, nu: int) -> tuple[int, float, int]:
-    """(degree, order, sine power) of the nu-th polar factor, nu = 1..n-1."""
-    ks = (index.l,) + index.chain
-    d = ks[nu - 1] - ks[nu]
-    lam_nu = (geometry.n - nu) / 2.0 + ks[nu]
-    return d, lam_nu, ks[nu]
+def _axis_order(n: int, ks: Sequence[int], nu: int) -> tuple[int, float, int]:
+    """(degree, order, sine power) of the nu-th polar factor, nu = 1..n-1,
+    of the chain ks = (k_0 = l, k_1, ..., k_(n-1)) on S^n."""
+    return ks[nu - 1] - ks[nu], (n - nu) / 2.0 + ks[nu], ks[nu]
 
 
 def _check_index(geometry: SphereGeometry, index: HarmonicIndex) -> None:
@@ -242,7 +240,7 @@ def axis_profile(geometry: SphereGeometry, index: HarmonicIndex, nu: int, thetas
     array of angles (normalization not included)."""
     _check_index(geometry, index)
     thetas = np.asarray(thetas, dtype=float)
-    d, lam_nu, k_nu = _axis_order(geometry, index, nu)
+    d, lam_nu, k_nu = _axis_order(geometry.n, (index.l,) + index.chain, nu)
     values = gegenbauer_table(lam_nu, d, np.cos(thetas))[d]
     if k_nu:
         values = values * np.sin(thetas) ** k_nu
@@ -263,9 +261,10 @@ def harmonic_eval(
     _check_index(geometry, index)
     if point.n != geometry.n:
         raise ValueError(f"point on S^{point.n} passed for S^{geometry.n}")
-    value = normalization_constant(geometry, index)
+    n, ks = geometry.n, (index.l,) + index.chain
+    value = _chain_normalization(n, ks)
     for nu, theta in enumerate(point.thetas, start=1):
-        d, lam_nu, k_nu = _axis_order(geometry, index, nu)
+        d, lam_nu, k_nu = _axis_order(n, ks, nu)
         *_, factor = gegenbauer_sequence(lam_nu, d, math.cos(theta))
         value *= factor * math.sin(theta) ** k_nu
     return value * cmath.exp(1j * index.sign * index.chain[-1] * point.phi)

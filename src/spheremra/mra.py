@@ -25,8 +25,8 @@ exact point samples.  That costs O(M^(n+1)) time and
 (n-1) (M/2)^2 (M+1) table entries, in place of a dense (dim V_j) x (grid
 nodes) basis of O(M^(2n)) bytes (136 MB at S^2 j=6, 34 GB at j=8).
 
-Evaluation at scattered points (synthesize, and with it localization_check
-and verify's synthesis records) is batched by order: one exponential per
+Evaluation at scattered points (synthesize, with it localization_check, and
+verify's synthesis records) is batched by order: one exponential per
 azimuthal frequency and, per polar axis, one Gegenbauer table per order k_nu
 over every point, whose rows d = k_(nu-1) - k_nu are gathered per index.
 Every step is elementwise and in the order of the per-index reference
@@ -604,26 +604,31 @@ def _node_cartesians(geometry: SphereGeometry, j: int) -> np.ndarray:
     return np.stack([c.ravel() for c in coords], axis=1)
 
 
-def _band_rebuild(signal: GridSignal, j: int, wavelet: bool) -> Callable[[SphericalPoint], complex]:
-    """The band's function from its samples on N_{j+wavelet}:
+def _band_rebuild(
+    signals: Sequence[GridSignal], j: int, wavelet: bool
+) -> Callable[[Sequence[SphericalPoint]], list[list[complex]]]:
+    """The band's functions from their samples on N_{j+wavelet}, as a map
+    from points to values[signal][point], each one dot with a kernel row
+    evaluated once for all signals (the bits of a one-point call):
 
         f(x) = c_syn sum_{s,t} chi_prod v_{s,t} kernel(x . x_{s,t}).
     """
     level = j + wavelet
-    if signal.j != level:
+    if wrong := [s.j for s in signals if s.j != level]:
         raise ValueError(
             f"{'W' if wavelet else 'V'}_{j} synthesis needs samples at level {level}, "
-            f"got level {signal.j}"
+            f"got level {wrong[0]}"
         )
-    geometry = signal.geometry
+    geometry = signals[0].geometry
     nodes = _node_cartesians(geometry, level)
     constant = _band_constants(geometry, j, wavelet)[0]
-    weighted = constant * level_weights(geometry, level) * signal.values
+    weighted = [constant * level_weights(geometry, level) * s.values for s in signals]
     spectrum = _band_spectrum(geometry, j, wavelet)
 
-    def evaluate(x: SphericalPoint) -> complex:
-        dots = np.clip(nodes @ x.cartesian(), -1.0, 1.0)
-        return complex(np.dot(weighted, zonal_eval(spectrum, dots)))
+    def evaluate(points: Sequence[SphericalPoint]) -> list[list[complex]]:
+        dots = np.stack([np.clip(nodes @ x.cartesian(), -1.0, 1.0) for x in points])
+        kernel = zonal_eval(spectrum, dots)
+        return [[complex(np.dot(v, row)) for row in kernel] for v in weighted]
 
     return evaluate
 
@@ -631,14 +636,16 @@ def _band_rebuild(signal: GridSignal, j: int, wavelet: bool) -> Callable[[Spheri
 def interpolatory_synthesis(signal: GridSignal) -> Callable[[SphericalPoint], complex]:
     """Rebuild the V_j function from its level-j samples; the callable
     evaluates anywhere on the sphere."""
-    return _band_rebuild(signal, signal.j, wavelet=False)
+    evaluate = _band_rebuild([signal], signal.j, wavelet=False)
+    return lambda x: evaluate([x])[0][0]
 
 
 def wavelet_interpolatory_synthesis(
     signal: GridSignal, j: int
 ) -> Callable[[SphericalPoint], complex]:
     """Rebuild a W_j function from its samples on the finer grid N_{j+1}."""
-    return _band_rebuild(signal, j, wavelet=True)
+    evaluate = _band_rebuild([signal], j, wavelet=True)
+    return lambda x: evaluate([x])[0][0]
 
 
 def _as_samples(f: Spectrum | GridSignal, j: int) -> GridSignal:

@@ -101,11 +101,15 @@ def gegenbauer_table(lam: float, max_degree: int, t) -> np.ndarray:
     gegenbauer_sequence is stable on [-1, 1] and is used directly, including
     at the endpoints.  Row l does not depend on max_degree.
     """
+    return _table_rows(lam, max_degree, _check_domain(t))
+
+
+def _table_rows(lam: float, max_degree: int, t: np.ndarray) -> np.ndarray:
+    """gegenbauer_table on t already checked and clamped to [-1, 1]."""
     if not lam > 0:
         raise ValueError(f"order lambda must be positive, got {lam}")
     if max_degree < 0:
         raise ValueError(f"max_degree must be nonnegative, got {max_degree}")
-    t = _check_domain(t)
     out = np.empty((max_degree + 1,) + t.shape, dtype=float)
     for l, value in enumerate(gegenbauer_sequence(lam, max_degree, t)):
         out[l] = value
@@ -149,6 +153,6 @@ def gegenbauer_norm_1d(params: GegenbauerParams) -> float:
 def zonal_eval(spec: ZonalSpectrum, t):
     """Evaluate sum_l coeffs[l] C_l^lambda(t) at scalar or array t."""
     t_arr = _check_domain(t)
-    table = gegenbauer_table(spec.lam, spec.max_degree, t_arr)
+    table = _table_rows(spec.lam, spec.max_degree, t_arr)
     value = np.tensordot(spec.coeffs, table, axes=(0, 0))
     return complex(value) if np.ndim(t) == 0 else value
