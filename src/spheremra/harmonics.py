@@ -212,7 +212,7 @@ def _check_index(geometry: SphereGeometry, index: HarmonicIndex) -> None:
         )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _log_norm_1d(degree: int, lam: float) -> float:
     return math.log(gegenbauer_norm_1d(GegenbauerParams(lam, degree)))
 

@@ -16,23 +16,26 @@ extended to the chains k_0 >= ... >= k_(n-1)): every harmonic is a product
 of one factor per angle and N_j is a tensor grid with a uniform azimuth, so
 analysis is an FFT over the 2M azimuth nodes (M = 2^j), then the quadrature
 weights, then one contraction per polar axis from theta_(n-1) down to
-theta_1 against a cached table of normalised factors
+theta_1 against a table of normalised factors
 C_(k_(nu-1)-k_nu)^(lam_nu)(cos theta) sin^(k_nu)(theta) / sqrt(h).  Synthesis
 runs the same steps in reverse; its azimuthal frequencies are assigned (not
 accumulated) onto distinct bins of the smallest period 2M 2^r that holds
 them, and the inverse FFT keeps every 2^r-th node, so a coarse grid gets
 exact point samples.  That costs O(M^(n+1)) time and
 (n-1) (M/2)^2 (M+1) table entries, in place of a dense (dim V_j) x (grid
-nodes) basis of O(M^(2n)) bytes (136 MB at S^2 j=6, 34 GB at j=8).
+nodes) basis of O(M^(2n)) bytes (136 MB at S^2 j=6, 34 GB at j=8).  What a
+level pair (j_spec, j_grid) needs, the weights, tables, dense positions,
+azimuth bins and stride 2^r, is one read-only plan in a bounded cache; the
+node-cap guard runs once per call, before and outside it.
 
 Evaluation at scattered points (synthesize, with it localization_check, and
 verify's synthesis records) is batched by order: one exponential per
 azimuthal frequency and, per polar axis, one Gegenbauer table per order k_nu
 over every point, whose rows d = k_(nu-1) - k_nu are gathered per index.
 Every step is elementwise and in the order of the per-index reference
-oracle.point_basis, so the basis is bit-identical to it.  It reads none of
-the grid caches; its own cache holds each level's chains, signed azimuthal
-frequencies and normalization constants.
+oracle.point_basis, so the basis is bit-identical to it.  It reads no plan;
+its own cache holds each level's chains, signed azimuthal frequencies and
+normalization constants.
 
 A Spectrum is one coefficient vector on I_j in enumeration order (a mapping
 from HarmonicIndex to value is accepted and only its own indices ranked).
@@ -69,7 +72,7 @@ from .harmonics import (
     index_table,
 )
 from .quadrature import (
-    _NODE_CAP_ENV, checked_grid_shape, grid_axes, level_weights, node_cap,
+    _NODE_CAP_ENV, checked_grid_shape, grid_axes, grid_shape, level_weights, node_cap,
 )
 from .specfun import (
     GegenbauerParams, ZonalSpectrum, gegenbauer_norm_1d, gegenbauer_table, zonal_eval,
@@ -273,44 +276,38 @@ def _axis_table(base_order: float, max_degree: int, thetas: np.ndarray) -> np.nd
     return table
 
 
-def _polar_tables(
-    geometry: SphereGeometry, j_grid: int, max_degree: int
-) -> tuple[tuple[int, ...], tuple[np.ndarray, ...]]:
-    """The grid shape and the polar tables, with the node-cap guard run
-    before and outside the table cache."""
-    shape = checked_grid_shape(geometry, j_grid)
-    return shape, _polar_tables_cached(geometry.n, j_grid, max_degree)
+def _plan(geometry: SphereGeometry, j_spec: int, j_grid: int) -> tuple:
+    """The level pair's plan (see _plan_cached), after the node-cap guard,
+    which runs once and outside the plan cache."""
+    checked_grid_shape(geometry, j_grid)
+    return _plan_cached(geometry.n, j_spec, j_grid)
 
 
 @lru_cache(maxsize=32)
-def _polar_tables_cached(n: int, j_grid: int, max_degree: int) -> tuple[np.ndarray, ...]:
-    """The _axis_table of every polar axis nu = 1..n-1 (base order (n-nu)/2)
-    at the level-j_grid nodes."""
-    thetas, _ = grid_axes(SphereGeometry(n), j_grid)
+def _plan_cached(n: int, j_spec: int, j_grid: int) -> tuple:
+    """What the grid cores read for level-j_spec spectra on N_{j_grid}, all
+    read-only: the grid shape; the level weights (quadrature's own cached
+    array); the _axis_table of every polar axis nu = 1..n-1 (base order
+    (n-nu)/2); the flat position of each index (enumeration order) in the
+    dense array D[k_0, ..., k_(n-1), s] of shape (max_degree+1,)*n + (2,),
+    where slot s is 0 for the azimuthal sign +1 and 1 for -1; the FFT bin of
+    the azimuthal frequency sign * k (rows k, columns sign +1, -1) on the
+    synthesis period 2M 2^r; and the stride 2^r."""
+    geometry, max_degree = SphereGeometry(n), space_degree_bound(j_spec)
+    thetas, _ = grid_axes(geometry, j_grid)
     tables = tuple(
         _axis_table((n - nu) / 2.0, max_degree, thetas[nu - 1]) for nu in range(1, n)
     )
-    for table in tables:
-        table.setflags(write=False)
-    return tables
-
-
-@lru_cache(maxsize=32)
-def _dense_positions(n: int, max_degree: int) -> np.ndarray:
-    """Flat position of each index (enumeration order) in the dense array
-    D[k_0, ..., k_(n-1), s] of shape (max_degree+1,)*n + (2,), where slot s
-    is 0 for the azimuthal sign +1 and 1 for -1."""
     rows = index_table(n, max_degree)
     rows[:, n] = (1 - rows[:, n]) // 2
     positions = np.ravel_multi_index(tuple(rows.T), (max_degree + 1,) * n + (2,))
-    positions.setflags(write=False)
-    return positions
-
-
-def _azimuth_bins(max_degree: int, period: int) -> np.ndarray:
-    """FFT bin of the azimuthal frequency sign * k on `period` nodes, for
-    k = 0..max_degree (rows) and sign +1, -1 (columns)."""
-    return (np.arange(max_degree + 1)[:, None] * np.array([1, -1])) % period
+    # the smallest period 2M 2^r that holds the 2^j_spec signed frequencies
+    stride = 2 ** max(0, j_spec - j_grid - 1)
+    bins = (np.arange(max_degree + 1)[:, None] * np.array([1, -1])) % (stride * 2 ** (j_grid + 1))
+    for array in tables + (positions, bins):
+        array.setflags(write=False)
+    weights = level_weights(geometry, j_grid)
+    return grid_shape(geometry, j_grid), weights, tables, positions, bins, stride
 
 
 def _contract(table: np.ndarray, x: np.ndarray, transpose: bool) -> np.ndarray:
@@ -329,7 +326,7 @@ def _harmonic_scale(geometry: SphereGeometry) -> float:
     return math.sqrt(geometry.measure / (2.0 * math.pi))
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=32)
 def _point_factors(n: int, max_degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per index of degree <= max_degree, in enumeration order: the chain
     (k_0 = l, k_1, ..., k_(n-1)) as a row, the signed azimuthal frequency
@@ -390,10 +387,10 @@ def analyze_coeffs(signal: GridSignal) -> np.ndarray:
     """
     geometry, j = signal.geometry, signal.j
     n, max_degree = geometry.n, space_degree_bound(j)
-    shape, tables = _polar_tables(geometry, j, max_degree)
-    weighted = (level_weights(geometry, j) * signal.values).reshape(shape)
+    shape, weights, tables, positions, bins, _ = _plan(geometry, j, j)
+    weighted = (weights * signal.values).reshape(shape)
     # axes (s_1, ..., s_(n-1), k_(n-1), sign) after the azimuthal FFT
-    dense = np.fft.fft(weighted, axis=-1)[..., _azimuth_bins(max_degree, shape[-1])]
+    dense = np.fft.fft(weighted, axis=-1)[..., bins]
     for nu in range(n - 1, 0, -1):
         # contract s_nu into k_(nu-1): (.., s_nu, k_nu, ..) -> (.., k_(nu-1), k_nu, ..)
         lead = dense.shape[: nu - 1]
@@ -402,7 +399,7 @@ def analyze_coeffs(signal: GridSignal) -> np.ndarray:
             lead + (max_degree + 1,) + dense.shape[nu:]
         )
     scale = analysis_constant(geometry, j) * _harmonic_scale(geometry)
-    return scale * dense.ravel()[_dense_positions(n, max_degree)]
+    return scale * dense.ravel()[positions]
 
 
 def analyze(signal: GridSignal) -> Spectrum:
@@ -435,13 +432,11 @@ def synthesize_coeffs(
     node.
     """
     n, max_degree = geometry.n, space_degree_bound(j_spec)
-    positions = _dense_positions(n, max_degree)
-    if len(coeffs) != len(positions):
+    if len(coeffs) != (count := dim_pi(geometry, max_degree)):
         raise ValueError(
-            f"level-{j_spec} spectrum on S^{n} has {len(positions)} coefficients, "
-            f"got {len(coeffs)}"
+            f"level-{j_spec} spectrum on S^{n} has {count} coefficients, got {len(coeffs)}"
         )
-    shape, tables = _polar_tables(geometry, j_grid, max_degree)
+    shape, _, tables, positions, bins, stride = _plan(geometry, j_spec, j_grid)
     size = max_degree + 1
     dense = np.zeros(2 * size**n, dtype=complex)
     dense[positions] = _harmonic_scale(geometry) * coeffs
@@ -455,14 +450,10 @@ def synthesize_coeffs(
         )
     # assign (k_(n-1), sign) onto distinct azimuthal bins, without the
     # always-zero slot (k = 0, sign -1), then the inverse FFT
-    nodes = shape[-1]
-    stride = 1
-    while stride * nodes < 2 * size:
-        stride *= 2
     rows = dense.reshape(-1, 2 * size)
-    spectra = np.zeros((rows.shape[0], stride * nodes), dtype=complex)
+    spectra = np.zeros((rows.shape[0], stride * shape[-1]), dtype=complex)
     spectra[:, 0] = rows[:, 0]
-    spectra[:, _azimuth_bins(max_degree, stride * nodes).ravel()[2:]] = rows[:, 2:]
+    spectra[:, bins.ravel()[2:]] = rows[:, 2:]
     values = np.fft.ifft(spectra, axis=-1, norm="forward")[:, ::stride]
     return GridSignal(geometry, j_grid, values.ravel())
 

@@ -107,7 +107,7 @@ def _rule_series(order: int, alpha: int) -> np.ndarray:
     return series
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def _cached_rule(order: int, alpha: int) -> QuadratureRule:
     m = order
     u = np.arange(m + 1)

@@ -63,32 +63,26 @@ def _log_binom(top: float, k: int) -> float:
     return gammaln(top + 1.0) - gammaln(top - k + 1.0) - gammaln(k + 1.0)
 
 
-def _weights(lam: float, count: int) -> np.ndarray:
-    """w_l = (lambda/(l+lambda)) binom(l + 2 lambda - 1, l) for l = 0..count-1."""
-    ls = np.arange(count)
-    log_b = gammaln(ls + 2.0 * lam) - gammaln(2.0 * lam) - gammaln(ls + 1.0)
-    return lam / (ls + lam) * np.exp(log_b)
-
-
-def _check_spectrum(spec: ZonalSpectrum, geometry: SphereGeometry | None) -> None:
-    if geometry is not None and geometry.lam != spec.lam:
-        raise ValueError(
-            f"spectrum order {spec.lam} does not match S^{geometry.n} "
-            f"(lambda = {geometry.lam})"
-        )
-
-
-def var_space(spec: ZonalSpectrum, geometry: SphereGeometry | None = None) -> float:
-    """Angular variance ((E/D)^2 - 1); raises DegenerateMomentError when the
-    cross sum D vanishes relative to the energy E."""
-    _check_spectrum(spec, geometry)
+def _energy(spec: ZonalSpectrum, geometry: SphereGeometry | None) -> tuple[np.ndarray, float]:
+    """w_l = (lambda/(l+lambda)) binom(l + 2 lambda - 1, l) and the energy
+    E = sum_l w_l |f_l|^2, which both variances share."""
     lam = spec.lam
-    coeffs = spec.coeffs
-    w = _weights(lam, len(coeffs))
-    energy_terms = w * np.abs(coeffs) ** 2
-    energy = math.fsum(energy_terms)
+    if geometry is not None and geometry.lam != lam:
+        raise ValueError(
+            f"spectrum order {lam} does not match S^{geometry.n} (lambda = {geometry.lam})"
+        )
+    ls = np.arange(len(spec.coeffs))
+    log_b = gammaln(ls + 2.0 * lam) - gammaln(2.0 * lam) - gammaln(ls + 1.0)
+    w = lam / (ls + lam) * np.exp(log_b)
+    energy = math.fsum((w * np.abs(spec.coeffs) ** 2).tolist())
     if energy == 0.0:
         raise ValueError("zero spectrum has no variance")
+    return w, energy
+
+
+def _var_space(spec: ZonalSpectrum, energy: float) -> float:
+    lam = spec.lam
+    coeffs = spec.coeffs
     cross_terms = []
     for l in range(len(coeffs) - 1):
         log_b = _log_binom(l + 2.0 * lam, l)
@@ -104,27 +98,30 @@ def var_space(spec: ZonalSpectrum, geometry: SphereGeometry | None = None) -> fl
     return (energy / denom) ** 2 - 1.0
 
 
+def _var_momentum(spec: ZonalSpectrum, w: np.ndarray, energy: float) -> float:
+    ls = np.arange(len(spec.coeffs))
+    numer = math.fsum((ls * (ls + 2.0 * spec.lam) * w * np.abs(spec.coeffs) ** 2).tolist())
+    return numer / energy
+
+
+def var_space(spec: ZonalSpectrum, geometry: SphereGeometry | None = None) -> float:
+    """Angular variance ((E/D)^2 - 1); raises DegenerateMomentError when the
+    cross sum D vanishes relative to the energy E."""
+    return _var_space(spec, _energy(spec, geometry)[1])
+
+
 def var_momentum(spec: ZonalSpectrum, geometry: SphereGeometry | None = None) -> float:
     """Momentum variance: Laplacian eigenvalue average l(l+2 lambda) over the
     energy distribution w_l |f_l|^2."""
-    _check_spectrum(spec, geometry)
-    lam = spec.lam
-    coeffs = spec.coeffs
-    ls = np.arange(len(coeffs))
-    w = _weights(lam, len(coeffs))
-    energy_terms = (w * np.abs(coeffs) ** 2).tolist()
-    energy = math.fsum(energy_terms)
-    if energy == 0.0:
-        raise ValueError("zero spectrum has no variance")
-    numer = math.fsum((ls * (ls + 2.0 * lam) * w * np.abs(coeffs) ** 2).tolist())
-    return numer / energy
+    return _var_momentum(spec, *_energy(spec, geometry))
 
 
 def uncertainty_product(
     spec: ZonalSpectrum, geometry: SphereGeometry | None = None
 ) -> UncertaintyReport:
-    vs = var_space(spec, geometry)
-    vm = var_momentum(spec, geometry)
+    w, energy = _energy(spec, geometry)
+    vs = _var_space(spec, energy)
+    vm = _var_momentum(spec, w, energy)
     return UncertaintyReport(vs, vm, math.sqrt(vs) * math.sqrt(vm))
 
 

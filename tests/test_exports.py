@@ -1,4 +1,5 @@
-"""Every module's __all__ names only what the module defines."""
+"""Every module's __all__ names only what the module defines, and every
+cache it holds is bounded."""
 
 import importlib
 import pkgutil
@@ -22,3 +23,11 @@ def test_all_names_exist_and_star_import_works(name):
     namespace = {}
     exec(f"from spheremra.{name} import *", namespace)
     assert set(module.__all__) <= set(namespace)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_cache_is_bounded(name):
+    module = importlib.import_module(f"spheremra.{name}")
+    caches = {key: value for key, value in vars(module).items() if hasattr(value, "cache_parameters")}
+    unbounded = [key for key, cache in caches.items() if cache.cache_parameters()["maxsize"] is None]
+    assert not unbounded

@@ -5,13 +5,14 @@ and behind the node-cap guard."""
 import numpy as np
 import pytest
 
-from spheremra import harmonics, mra
+from spheremra import harmonics, mra, quadrature
 from spheremra.harmonics import HarmonicIndex, SphereGeometry
 from spheremra.mra import (
     GridSignal,
     Spectrum,
     analysis_constant,
     analyze,
+    analyze_coeffs,
     space_degree_bound,
     space_indices,
     synthesize_on_grid,
@@ -81,23 +82,33 @@ def test_node_cap_fires_before_any_table(monkeypatch):
     geometry = SphereGeometry(2)
     signal = GridSignal(geometry, 3, np.ones(grid_size(geometry, 3)))
     spectrum = Spectrum(geometry, 2, {space_indices(geometry, 2)[0]: 1.0})
-    mra._polar_tables_cached.cache_clear()
-    before = mra._polar_tables_cached.cache_info()
+    mra._plan_cached.cache_clear()
+    before = mra._plan_cached.cache_info()
     monkeypatch.setenv(_NODE_CAP_ENV, "100")
     with pytest.raises(ValueError, match="cap"):
         analyze(signal)
     with pytest.raises(ValueError, match="cap"):
         synthesize_on_grid(spectrum, 3)
-    assert mra._polar_tables_cached.cache_info() == before
+    assert mra._plan_cached.cache_info() == before
+
+
+def test_warm_analysis_checks_the_cap_once(monkeypatch):
+    geometry, j = SphereGeometry(3), 3
+    signal = GridSignal(geometry, j, np.ones(grid_size(geometry, j)))
+    analyze_coeffs(signal)
+    calls = []
+    monkeypatch.setattr(quadrature, "node_cap", counted(quadrature.node_cap, calls))
+    analyze_coeffs(signal)
+    assert calls == ["node_cap"]
 
 
 def test_grid_transforms_never_enumerate_indices(monkeypatch):
     """analyze and synthesize_on_grid pass the coefficient vector straight
     through and take their positions from the integer index table: neither
-    lists I_j, even with the position cache cold."""
+    lists I_j, even with the plan cache cold."""
     geometry, j = SphereGeometry(3), 3
     coeffs = random_coeffs(geometry, j, np.random.default_rng(11))
-    mra._dense_positions.cache_clear()
+    mra._plan_cached.cache_clear()
     calls = []
     for module, name in [(mra, "space_indices"), (mra, "enumerate_indices"),
                          (harmonics, "enumerate_indices")]:

@@ -84,8 +84,7 @@ def test_point_evaluation_leaves_the_grid_caches_alone():
     spectrum = mra.Spectrum(geometry, j, rng.normal(size=len(mra.space_indices(geometry, j))))
     points = points_with_poles(4, 5, rng)
     caches = [
-        mra._polar_tables_cached,
-        mra._dense_positions,
+        mra._plan_cached,
         quadrature._level_weights_cached,
         quadrature._cached_rule,
     ]
