@@ -330,10 +330,13 @@ def _harmonic_scale(geometry: SphereGeometry) -> float:
 def _point_factors(n: int, max_degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per index of degree <= max_degree, in enumeration order: the chain
     (k_0 = l, k_1, ..., k_(n-1)) as a row, the signed azimuthal frequency
-    sign * k_(n-1) and A_l^k.  Point evaluation is the only caller."""
+    sign * k_(n-1) and A_l^k.  Point evaluation is the only caller.  A_l^k
+    is formed once per chain: a chain's -1 row follows its +1 row."""
     table = index_table(n, max_degree)
     chains, frequencies = table[:, :n], table[:, n] * table[:, n - 1]
-    norms = np.array([_chain_normalization(n, ks) for ks in chains.tolist()])
+    first = table[:, n] == 1
+    norms = np.array([_chain_normalization(n, ks) for ks in chains[first].tolist()])
+    norms = norms[np.cumsum(first) - 1]
     for array in (chains, frequencies, norms):
         array.setflags(write=False)
     return chains, frequencies, norms

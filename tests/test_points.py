@@ -1,14 +1,27 @@
 """Point evaluation: the batched basis of mra against the per-index
-reference of the oracle, harmonic_eval against the same reference, and the
-grid caches that neither may touch."""
+reference of the oracle, harmonic_eval against the same reference and, bit
+for bit, against its own loop before the plan cache, that cache's bound,
+and the grid caches that point evaluation may not touch."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
 
-from spheremra import mra, oracle, quadrature
-from spheremra.harmonics import SphereGeometry, SphericalPoint, enumerate_indices, harmonic_eval
+from spheremra import harmonics, mra, oracle, quadrature
+from spheremra.harmonics import (
+    HarmonicIndex,
+    SphereGeometry,
+    SphericalPoint,
+    _chain_normalization,
+    addition_kernel,
+    dot,
+    enumerate_indices,
+    harmonic_eval,
+    normalization_constant,
+)
+from spheremra.specfun import gegenbauer_sequence, gegenbauer_table
 
 
 def points_with_poles(n, count, rng):
@@ -94,3 +107,95 @@ def test_point_evaluation_leaves_the_grid_caches_alone():
     for ix in enumerate_indices(geometry, 5):
         harmonic_eval(geometry, ix, points[1])
     assert [cache.cache_info() for cache in caches] == before
+
+
+def loop_harmonic_eval(geometry, index, point):
+    """harmonic_eval as it was before the plan cache, verbatim: every value
+    of the cached evaluator must carry these bits."""
+    n, ks = geometry.n, (index.l,) + index.chain
+    value = _chain_normalization(n, ks)
+    for nu, theta in enumerate(point.thetas, start=1):
+        d, lam_nu, k_nu = ks[nu - 1] - ks[nu], (n - nu) / 2.0 + ks[nu], ks[nu]
+        *_, factor = gegenbauer_sequence(lam_nu, d, math.cos(theta))
+        value *= factor * math.sin(theta) ** k_nu
+    return value * cmath.exp(1j * index.sign * index.chain[-1] * point.phi)
+
+
+def same_bits(a, b):
+    """Equal real and imaginary parts, signs of zero included."""
+    a, b = complex(a), complex(b)
+    return all(
+        x == y and math.copysign(1.0, x) == math.copysign(1.0, y)
+        for x, y in ((a.real, b.real), (a.imag, b.imag))
+    )
+
+
+def points_with_axes(n, count, rng):
+    """Seeded random points, the same with phi = 0, and every axis at
+    theta = 0, pi/2 and pi with phi = 0."""
+    points = []
+    for _ in range(count):
+        thetas = tuple(rng.uniform(0.0, math.pi, n - 1).tolist())
+        points += [SphericalPoint(thetas, float(rng.uniform(0.0, 2.0 * math.pi))), SphericalPoint(thetas, 0.0)]
+    return points + [SphericalPoint((theta,) * (n - 1), 0.0) for theta in (0.0, math.pi / 2, math.pi)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_harmonic_eval_keeps_the_loop_bits(n):
+    geometry = SphereGeometry(n)
+    points = points_with_axes(n, 3, np.random.default_rng(70 + n))
+    for ix in enumerate_indices(geometry, 8):
+        assert normalization_constant(geometry, ix) == _chain_normalization(n, (ix.l,) + ix.chain)
+        for x in points:
+            assert same_bits(harmonic_eval(geometry, ix, x), loop_harmonic_eval(geometry, ix, x)), (ix, x)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_addition_kernel_keeps_the_table_bits(n):
+    geometry = SphereGeometry(n)
+    rng = np.random.default_rng(80 + n)
+    points = points_with_axes(n, 3, rng)
+    antipode = SphericalPoint((math.pi,) * (n - 1), math.pi)
+    pairs = [(x, y) for x in points for y in points[:3]] + [(points[-3], antipode)]
+    for x, y in pairs:
+        table = gegenbauer_table(geometry.lam, 19, np.asarray(dot(x, y)))
+        for l in range(20):
+            assert same_bits(addition_kernel(geometry, l, x, y), float(table[l])), (l, x, y)
+
+
+@pytest.mark.parametrize("n,max_degree", [(2, 63), (3, 15), (4, 7)])
+def test_point_factors_form_each_chain_norm_once_with_the_row_bits(n, max_degree):
+    chains, _, norms = mra._point_factors(n, max_degree)
+    assert norms.tolist() == [_chain_normalization(n, ks) for ks in chains.tolist()]
+
+
+def test_plan_cache_holds_the_pointwise_traffic():
+    """Every index of degree <= 8 on S^2, S^3 and S^4, the indices the
+    pointwise benchmark evaluates, fit in the plan cache with none evicted."""
+    harmonics._plan.cache_clear()
+    point = SphericalPoint((0.3, 0.7, 1.1), 0.5)
+    for n in (2, 3, 4):
+        geometry = SphereGeometry(n)
+        x = SphericalPoint(point.thetas[: n - 1], point.phi)
+        for ix in enumerate_indices(geometry, 8):
+            harmonic_eval(geometry, ix, x)
+    info = harmonics._plan.cache_info()
+    assert info.currsize == 81 + 285 + 825 == 1191
+    assert info.maxsize > 1191
+
+
+def test_plan_cache_keeps_every_check():
+    """A wrong chain length raises the same error on every call and caches
+    nothing; a cached plan does not skip the point's dimension check."""
+    geometry, point = SphereGeometry(3), SphericalPoint((0.5, 0.5), 0.5)
+    wrong = HarmonicIndex(2, (1,), 1)
+    size = harmonics._plan.cache_info().currsize
+    calls = (lambda: normalization_constant(geometry, wrong), lambda: harmonic_eval(geometry, wrong, point))
+    for call in calls * 2:
+        with pytest.raises(ValueError, match=r"^index chain length 1 incompatible with S\^3$"):
+            call()
+    assert harmonics._plan.cache_info().currsize == size
+    index = HarmonicIndex(2, (1, 1), -1)
+    harmonic_eval(geometry, index, point)
+    with pytest.raises(ValueError, match=r"point on S\^2 passed for S\^3"):
+        harmonic_eval(geometry, index, SphericalPoint((0.5,), 0.5))
