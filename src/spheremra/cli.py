@@ -286,8 +286,9 @@ def run(argv: list[str] | None = None) -> int:
             return _HANDLERS[args.subcommand](args)
     except (ValueError, OSError, ArithmeticError, MemoryError) as exc:
         # ArithmeticError covers OverflowError, e.g. a factorial too large
-        # for a float in the weights of a huge sine power
-        sys.stderr.write(f"error: {exc}\n")
+        # for a float in the weights of a huge sine power; an exception
+        # without a message, e.g. MemoryError(), is named by its class
+        sys.stderr.write(f"error: {str(exc) or type(exc).__name__}\n")
         return 1
     finally:
         # --node-cap holds for this run only, not for later runs in the process

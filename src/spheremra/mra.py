@@ -33,9 +33,10 @@ verify's synthesis records) is batched by order: one exponential per
 azimuthal frequency and, per polar axis, one Gegenbauer table per order k_nu
 over every point, whose rows d = k_(nu-1) - k_nu are gathered per index.
 Every step is elementwise and in the order of the per-index reference
-oracle.point_basis, so the basis is bit-identical to it.  It reads no plan;
-its own cache holds each level's chains, signed azimuthal frequencies and
-normalization constants.
+oracle.point_basis, so the basis is bit-identical to it.  It reads no plan
+and keeps no cache: the chains and signed azimuthal frequencies are the rows
+of index_table at the requested positions, and A_l^k is formed once per
+chain of those rows alone.
 
 A Spectrum is one coefficient vector on I_j in enumeration order (a mapping
 from HarmonicIndex to value is accepted and only its own indices ranked).
@@ -326,22 +327,6 @@ def _harmonic_scale(geometry: SphereGeometry) -> float:
     return math.sqrt(geometry.measure / (2.0 * math.pi))
 
 
-@lru_cache(maxsize=32)
-def _point_factors(n: int, max_degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per index of degree <= max_degree, in enumeration order: the chain
-    (k_0 = l, k_1, ..., k_(n-1)) as a row, the signed azimuthal frequency
-    sign * k_(n-1) and A_l^k.  Point evaluation is the only caller.  A_l^k
-    is formed once per chain: a chain's -1 row follows its +1 row."""
-    table = index_table(n, max_degree)
-    chains, frequencies = table[:, :n], table[:, n] * table[:, n - 1]
-    first = table[:, n] == 1
-    norms = np.array([_chain_normalization(n, ks) for ks in chains[first].tolist()])
-    norms = norms[np.cumsum(first) - 1]
-    for array in (chains, frequencies, norms):
-        array.setflags(write=False)
-    return chains, frequencies, norms
-
-
 def _basis_at_points(
     geometry: SphereGeometry, max_degree: int, positions: np.ndarray, points: Sequence[SphericalPoint]
 ) -> np.ndarray:
@@ -355,7 +340,14 @@ def _basis_at_points(
             raise ValueError(f"point on S^{p.n} passed for S^{n}")
     thetas = [np.array([p.thetas[nu - 1] for p in points]) for nu in range(1, n)]
     phis = np.array([p.phi for p in points])
-    chains, frequencies, norms = (a[positions] for a in _point_factors(n, max_degree))
+    selected = index_table(n, max_degree)[positions]
+    chains, frequencies = selected[:, :n], selected[:, n] * selected[:, n - 1]
+    # A_l^k once per run of equal adjacent chains: with ascending positions
+    # a chain's -1 row follows its +1 row
+    starts = np.ones(len(selected), dtype=bool)
+    starts[1:] = (chains[1:] != chains[:-1]).any(axis=1)
+    norms = np.array([_chain_normalization(n, ks) for ks in chains[starts].tolist()])
+    norms = norms[np.cumsum(starts) - 1]
     distinct, which = np.unique(frequencies, return_inverse=True)
     # azimuth_profile's expression 1j * sign * k, then A_l^k times it, then
     # the polar factors nu = 1..n-1: the reference's operands in its order

@@ -62,10 +62,6 @@ class QuadratureRule:
     weights: np.ndarray
 
 
-def _eps(k: int, order: int) -> float:
-    return 0.5 if k == 0 or k == order else 1.0
-
-
 def _reflected_tail(alpha: int, nus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(lost, tail): lost marks the nu where the plain product of reciprocal
     gammas fails, and tail holds (-1)^nu / (Gamma(alpha/2 - nu + 1)
@@ -92,18 +88,11 @@ def _rule_series(order: int, alpha: int) -> np.ndarray:
     for mu = 0..floor(M/2)."""
     m = order
     mus = np.arange(m // 2 + 1)
+    eps = np.where((mus == 0) | (2 * mus == m), 0.5, 1.0)
     with np.errstate(invalid="ignore"):  # inf * 0 in the tail, replaced below
-        series = np.array(
-            [
-                _eps(2 * mu, m)
-                * (-1.0) ** mu
-                * rgamma(alpha / 2.0 - mu + 1.0)
-                * rgamma(alpha / 2.0 + mu + 1.0)
-                for mu in mus
-            ]
-        )
+        series = eps * (-1.0) ** mus * rgamma(alpha / 2.0 - mus + 1.0) * rgamma(alpha / 2.0 + mus + 1.0)
     lost, tail = _reflected_tail(alpha, mus)
-    series[lost] = np.where(2 * mus[lost] == m, 0.5, 1.0) * tail
+    series[lost] = eps[lost] * tail
     return series
 
 

@@ -12,6 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
+from spheremra import cli
 from spheremra.cli import run
 from spheremra.formats import (
     signal_from_json,
@@ -180,6 +181,15 @@ def test_arithmetic_errors_exit_one_without_traceback(capsys):
     assert err.startswith("error:")
     assert err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_error_without_a_message_names_its_class(capsys, monkeypatch):
+    def exhausted(order, alpha):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "make_rule", exhausted)
+    assert run(["weights", "--M", "4", "--alpha", "1"]) == 1
+    assert capsys.readouterr().err == "error: MemoryError\n"
 
 
 def test_node_cap_flag(tmp_path, capsys, monkeypatch):

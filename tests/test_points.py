@@ -1,5 +1,6 @@
 """Point evaluation: the batched basis of mra against the per-index
-reference of the oracle, harmonic_eval against the same reference and, bit
+reference of the oracle, on dense and sparse rows, the chain normalisations
+a point synthesis forms, harmonic_eval against the same reference and, bit
 for bit, against its own loop before the plan cache, that cache's bound,
 and the grid caches that point evaluation may not touch."""
 
@@ -45,17 +46,21 @@ CASES = [(2, j) for j in range(1, 7)] + [(3, j) for j in range(1, 5)] + [
 @pytest.mark.parametrize("n,j", CASES)
 @pytest.mark.parametrize("count", [1, 50])
 def test_batched_basis_is_the_reference_bit_for_bit(n, j, count):
+    """A random half of the level's rows, and three sparse sets: every third
+    row, the -1 rows alone (each without its chain's +1 row) and the last row."""
     geometry = SphereGeometry(n)
     rng = np.random.default_rng(100 * n + 10 * j + count)
     indices = mra.space_indices(geometry, j)
-    positions = np.flatnonzero(rng.random(len(indices)) < 0.5)
-    if not len(positions):
-        positions = np.array([len(indices) - 1])
+    half = np.flatnonzero(rng.random(len(indices)) < 0.5)
+    minus = np.flatnonzero([ix.sign == -1 for ix in indices])
     points = points_with_poles(n, count, rng)
-    got = mra._basis_at_points(geometry, mra.space_degree_bound(j), positions, points)
-    want = oracle.point_basis(geometry, [indices[p] for p in positions], points)
-    assert got.shape == want.shape and got.flags.c_contiguous
-    assert got.tobytes() == want.tobytes()
+    for positions in (half, np.arange(0, len(indices), 3), minus, np.array([len(indices) - 1])):
+        if not len(positions):
+            continue
+        got = mra._basis_at_points(geometry, mra.space_degree_bound(j), positions, points)
+        want = oracle.point_basis(geometry, [indices[p] for p in positions], points)
+        assert got.shape == want.shape and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
 
 
 def test_synthesize_at_points_is_the_reference_product():
@@ -163,10 +168,29 @@ def test_addition_kernel_keeps_the_table_bits(n):
             assert same_bits(addition_kernel(geometry, l, x, y), float(table[l])), (l, x, y)
 
 
-@pytest.mark.parametrize("n,max_degree", [(2, 63), (3, 15), (4, 7)])
-def test_point_factors_form_each_chain_norm_once_with_the_row_bits(n, max_degree):
-    chains, _, norms = mra._point_factors(n, max_degree)
-    assert norms.tolist() == [_chain_normalization(n, ks) for ks in chains.tolist()]
+@pytest.mark.parametrize(
+    "rows",
+    [[((511, 300), -1)], [((300, 200), 1), ((300, 200), -1)]],
+    ids=["one-row", "both-signs-of-one-chain"],
+)
+def test_point_synthesis_forms_only_its_rows_chain_norms(rows, monkeypatch):
+    """At S^2 j=10 (131,328 chains) a one-row spectrum, and a two-row one
+    holding both signs of one chain, form A_l^k once, with the row bits."""
+    geometry = SphereGeometry(2)
+    entries = {HarmonicIndex(ks[0], ks[1:], sign): 0.5 - 1.5j * sign for ks, sign in rows}
+    spectrum = mra.Spectrum(geometry, 10, entries)
+    points = points_with_poles(2, 5, np.random.default_rng(11))
+    calls = []
+
+    def counted(n, ks):
+        calls.append(ks)
+        return _chain_normalization(n, ks)
+
+    monkeypatch.setattr(mra, "_chain_normalization", counted)
+    got = mra.synthesize(spectrum, points)
+    assert len(calls) == 1
+    want = np.array(list(entries.values())) @ oracle.point_basis(geometry, list(entries), points)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_plan_cache_holds_the_pointwise_traffic():

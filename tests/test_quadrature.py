@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import beta as beta_fn
+from scipy.special import beta as beta_fn, rgamma
 
 from spheremra import quadrature
 from spheremra.harmonics import SphereGeometry
@@ -211,6 +211,39 @@ def test_weights_finite_for_large_orders(alpha):
         weights = make_rule(order, alpha).weights
         assert np.all(np.isfinite(weights))
         assert weights.sum() == pytest.approx(exact, rel=1e-14)
+
+
+def _eps(k, order):
+    return 0.5 if k == 0 or k == order else 1.0
+
+
+def loop_rule_series(order, alpha):
+    """_rule_series as it was before it became one array expression,
+    verbatim: one pair of scalar reciprocal gammas per mu."""
+    m = order
+    mus = np.arange(m // 2 + 1)
+    with np.errstate(invalid="ignore"):  # inf * 0 in the tail, replaced below
+        series = np.array(
+            [
+                _eps(2 * mu, m)
+                * (-1.0) ** mu
+                * rgamma(alpha / 2.0 - mu + 1.0)
+                * rgamma(alpha / 2.0 + mu + 1.0)
+                for mu in mus
+            ]
+        )
+    lost, tail = quadrature._reflected_tail(alpha, mus)
+    series[lost] = np.where(2 * mus[lost] == m, 0.5, 1.0) * tail
+    return series
+
+
+@pytest.mark.parametrize("alpha", range(1, 9))
+def test_rule_series_keeps_the_loop_bits(alpha):
+    """Odd and even orders, both ends of the eps factor, and for odd alpha
+    the reflected tail from M = 512 on."""
+    for order in (1, 2, 3, 16, 63, 64, 1024, 4096, 20000):
+        got = quadrature._rule_series(order, alpha)
+        assert got.tobytes() == loop_rule_series(order, alpha).tobytes(), order
 
 
 def test_level_weights_are_read_only_and_cached():
