@@ -29,14 +29,14 @@ azimuth bins and stride 2^r, is one read-only plan in a bounded cache; the
 node-cap guard runs once per call, before and outside it.
 
 Evaluation at scattered points (synthesize, with it localization_check, and
-verify's synthesis records) is batched by order: one exponential per
-azimuthal frequency and, per polar axis, one Gegenbauer table per order k_nu
-over every point, whose rows d = k_(nu-1) - k_nu are gathered per index.
-Every step is elementwise and in the order of the per-index reference
-oracle.point_basis, so the basis is bit-identical to it.  It reads no plan
-and keeps no cache: the chains and signed azimuthal frequencies are the rows
-of index_table at the requested positions, and A_l^k is formed once per
-chain of those rows alone.
+verify's synthesis records) reads the grids' normalised factors: one
+exponential per distinct signed azimuthal frequency, times
+sqrt(Sigma_n / 2 pi), and per polar axis one _axis_table over the points,
+built for the orders k_nu the requested rows hold up to their largest
+k_(nu-1), from which each row gathers T[k_nu, k_(nu-1)].  A_l^k is never
+formed, so no factor overflows at the top of the ladder.  It reads no plan
+and keeps no cache: the chains and signed frequencies are the rows of
+index_table at the requested positions.
 
 A Spectrum is one coefficient vector on I_j in enumeration order (a mapping
 from HarmonicIndex to value is accepted and only its own indices ranked).
@@ -66,7 +66,6 @@ from .harmonics import (
     HarmonicIndex,
     SphereGeometry,
     SphericalPoint,
-    _chain_normalization,
     dim_pi,
     enumerate_indices,
     index_rank,
@@ -76,7 +75,7 @@ from .quadrature import (
     _NODE_CAP_ENV, checked_grid_shape, grid_axes, grid_shape, level_weights, node_cap,
 )
 from .specfun import (
-    GegenbauerParams, ZonalSpectrum, gegenbauer_norm_1d, gegenbauer_table, zonal_eval,
+    GegenbauerParams, ZonalSpectrum, gegenbauer_norm_1d, zonal_eval,
 )
 
 __all__ = [
@@ -241,39 +240,47 @@ def wavelet_frame_constant(geometry: SphereGeometry, j: int) -> float:
 # ---------------------------------------------------------------------------
 # separable transform on grids
 
-def _axis_table(base_order: float, max_degree: int, thetas: np.ndarray) -> np.ndarray:
-    """Normalised polar factors of one axis, T[b, a, s] for orders b = k_nu
-    and degrees a = k_(nu-1) up to max_degree:
+def _axis_table(
+    base_order: float, max_degree: int, thetas: np.ndarray, orders: np.ndarray
+) -> np.ndarray:
+    """Normalised polar factors of one axis, T[i, a, s] for the ascending
+    orders b = orders[i] (values of k_nu) and degrees a = k_(nu-1) up to
+    max_degree:
 
         C_(a-b)^(base_order+b)(cos theta_s) sin^b(theta_s) / sqrt(h(a-b, base_order+b)),
 
     zero where a < b.  Both recurrences run on normalised values (the
-    diagonal through h(0, lam) / h(0, lam+1) = (lam+1)/(lam+1/2), the degree
-    through the normalised three-term recurrence), so the unnormalised
-    product C sin^b, which overflows and underflows at high degree, never
-    appears.
+    diagonal through h(0, lam) / h(0, lam+1) = (lam+1)/(lam+1/2) for every
+    b up to the largest order, the degree through the normalised three-term
+    recurrence for the given orders alone), so the unnormalised product
+    C sin^b, which overflows and underflows at high degree, never appears.
+    At step d the orders with room below max_degree are a prefix of `orders`.
     """
-    size = max_degree + 1
+    size, count = max_degree + 1, len(orders)
     t, sine = np.cos(thetas), np.sin(thetas)
-    lam = base_order + np.arange(size)
-    table = np.zeros((size, size, len(thetas)))
-    table[0, 0] = 1.0 / math.sqrt(gegenbauer_norm_1d(GegenbauerParams(base_order, 0)))
-    for b in range(1, size):
-        table[b, b] = table[b - 1, b - 1] * sine * math.sqrt(
-            (lam[b - 1] + 1.0) / (lam[b - 1] + 0.5)
-        )
-    for d in range(size - 1):
-        # degree d -> d+1 for every order b that still has room below max_degree
-        b = np.arange(size - 1 - d)
-        lb = lam[b]
+    diagonal = np.empty((orders[-1] + 1, len(thetas)))
+    diagonal[0] = 1.0 / math.sqrt(gegenbauer_norm_1d(GegenbauerParams(base_order, 0)))
+    for b in range(1, len(diagonal)):
+        lam = base_order + (b - 1)
+        diagonal[b] = diagonal[b - 1] * sine * math.sqrt((lam + 1.0) / (lam + 0.5))
+    table = np.zeros((count, size, len(thetas)))
+    # rows of the flat view: (i, a) sits at i * size + a, so (i, orders[i] + d) at starts + d
+    flat = table.reshape(count * size, len(thetas))
+    starts = np.arange(count) * size + orders
+    flat[starts] = diagonal[orders]
+    lams = base_order + orders
+    room = np.searchsorted(orders, max_degree - np.arange(max_degree - orders[0]))
+    for d, c in enumerate(room.tolist()):
+        # degree d -> d+1 for the first c orders, the ones below max_degree - d
+        at, lb = starts[:c] + d, lams[:c]
         up = 2.0 * np.sqrt((d + lb) * (d + lb + 1.0) / ((d + 1.0) * (d + 2.0 * lb)))
-        table[b, b + d + 1] = up[:, None] * t * table[b, b + d]
+        flat[at + 1] = up[:, None] * t * flat[at]
         if d:
             down = np.sqrt(
                 d * (d + 2.0 * lb - 1.0) * (d + lb + 1.0)
                 / ((d + 1.0) * (d + 2.0 * lb) * (d + lb - 1.0))
             )
-            table[b, b + d + 1] -= down[:, None] * table[b, b + d - 1]
+            flat[at + 1] -= down[:, None] * flat[at - 1]
     return table
 
 
@@ -297,7 +304,8 @@ def _plan_cached(n: int, j_spec: int, j_grid: int) -> tuple:
     geometry, max_degree = SphereGeometry(n), space_degree_bound(j_spec)
     thetas, _ = grid_axes(geometry, j_grid)
     tables = tuple(
-        _axis_table((n - nu) / 2.0, max_degree, thetas[nu - 1]) for nu in range(1, n)
+        _axis_table((n - nu) / 2.0, max_degree, thetas[nu - 1], np.arange(max_degree + 1))
+        for nu in range(1, n)
     )
     rows = index_table(n, max_degree)
     rows[:, n] = (1 - rows[:, n]) // 2
@@ -331,42 +339,22 @@ def _basis_at_points(
     geometry: SphereGeometry, max_degree: int, positions: np.ndarray, points: Sequence[SphericalPoint]
 ) -> np.ndarray:
     """B[i, p] = Y_i at points[p] for the indices at `positions` (enumeration
-    order, degree <= max_degree), bit for bit oracle.point_basis (see the
-    module docstring).  Gathering rows d = k_(nu-1) - k_nu from one table per
-    order is exact because row d does not depend on the table's top degree."""
+    order, degree <= max_degree): the grid's normalised factors gathered per
+    index (see the module docstring)."""
     n = geometry.n
     for p in points:
         if p.n != n:
             raise ValueError(f"point on S^{p.n} passed for S^{n}")
     thetas = [np.array([p.thetas[nu - 1] for p in points]) for nu in range(1, n)]
     phis = np.array([p.phi for p in points])
-    selected = index_table(n, max_degree)[positions]
-    chains, frequencies = selected[:, :n], selected[:, n] * selected[:, n - 1]
-    # A_l^k once per run of equal adjacent chains: with ascending positions
-    # a chain's -1 row follows its +1 row
-    starts = np.ones(len(selected), dtype=bool)
-    starts[1:] = (chains[1:] != chains[:-1]).any(axis=1)
-    norms = np.array([_chain_normalization(n, ks) for ks in chains[starts].tolist()])
-    norms = norms[np.cumsum(starts) - 1]
-    distinct, which = np.unique(frequencies, return_inverse=True)
-    # azimuth_profile's expression 1j * sign * k, then A_l^k times it, then
-    # the polar factors nu = 1..n-1: the reference's operands in its order
-    azimuths = np.array(
-        [np.exp(1j * (1 if m >= 0 else -1) * abs(m) * phis) for m in distinct.tolist()]
-    )
-    basis = azimuths[which]
-    np.multiply(norms[:, None], basis, out=basis)
-    factor = np.empty(basis.shape)
+    rows = index_table(n, max_degree)[positions]
+    frequencies, which = np.unique(rows[:, n] * rows[:, n - 1], return_inverse=True)
+    basis = (_harmonic_scale(geometry) * np.exp(1j * np.outer(frequencies, phis)))[which]
     for nu in range(1, n):
-        cosines, sines = np.cos(thetas[nu - 1]), np.sin(thetas[nu - 1])
-        orders, degrees = chains[:, nu], chains[:, nu - 1] - chains[:, nu]
-        for k in np.unique(orders).tolist():
-            rows = orders == k
-            table = gegenbauer_table((n - nu) / 2.0 + k, int(degrees[rows].max()), cosines)
-            # a scalar exponent, as in axis_profile: numpy squares on a fast
-            # path at k = 2; sines**0 is exactly 1
-            factor[rows] = table[degrees[rows]] * sines**k
-        basis *= factor
+        # T[k_nu, k_(nu-1)] from a table of the orders these rows hold
+        orders, which = np.unique(rows[:, nu], return_inverse=True)
+        table = _axis_table((n - nu) / 2.0, int(rows[:, nu - 1].max()), thetas[nu - 1], orders)
+        basis *= table[which, rows[:, nu - 1]]
     return basis
 
 

@@ -1,12 +1,15 @@
-"""Point evaluation: the batched basis of mra against the per-index
-reference of the oracle, on dense and sparse rows, the chain normalisations
-a point synthesis forms, harmonic_eval against the same reference and, bit
-for bit, against its own loop before the plan cache, that cache's bound,
-and the grid caches that point evaluation may not touch."""
+"""Point evaluation: the polar table builder that grids and points share,
+kept to the grid's bits; the batched basis of mra against the per-index
+reference of the oracle on dense and sparse rows and against mpmath at the
+top of the S^2 ladder; the chain normalisations a point synthesis does not
+form; harmonic_eval against the same reference and, bit for bit, against
+its own loop before the plan cache, that cache's bound, and the grid caches
+that point evaluation may not touch."""
 
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -22,7 +25,7 @@ from spheremra.harmonics import (
     harmonic_eval,
     normalization_constant,
 )
-from spheremra.specfun import gegenbauer_sequence, gegenbauer_table
+from spheremra.specfun import GegenbauerParams, gegenbauer_norm_1d, gegenbauer_sequence, gegenbauer_table
 
 
 def points_with_poles(n, count, rng):
@@ -43,11 +46,54 @@ CASES = [(2, j) for j in range(1, 7)] + [(3, j) for j in range(1, 5)] + [
 ]
 
 
+def grid_axis_table(base_order, max_degree, thetas):
+    """mra._axis_table as it was before it took the orders, verbatim: the
+    grid's tables must keep these bits."""
+    size = max_degree + 1
+    t, sine = np.cos(thetas), np.sin(thetas)
+    lam = base_order + np.arange(size)
+    table = np.zeros((size, size, len(thetas)))
+    table[0, 0] = 1.0 / math.sqrt(gegenbauer_norm_1d(GegenbauerParams(base_order, 0)))
+    for b in range(1, size):
+        table[b, b] = table[b - 1, b - 1] * sine * math.sqrt(
+            (lam[b - 1] + 1.0) / (lam[b - 1] + 0.5)
+        )
+    for d in range(size - 1):
+        # degree d -> d+1 for every order b that still has room below max_degree
+        b = np.arange(size - 1 - d)
+        lb = lam[b]
+        up = 2.0 * np.sqrt((d + lb) * (d + lb + 1.0) / ((d + 1.0) * (d + 2.0 * lb)))
+        table[b, b + d + 1] = up[:, None] * t * table[b, b + d]
+        if d:
+            down = np.sqrt(
+                d * (d + 2.0 * lb - 1.0) * (d + lb + 1.0)
+                / ((d + 1.0) * (d + 2.0 * lb) * (d + lb - 1.0))
+            )
+            table[b, b + d + 1] -= down[:, None] * table[b, b + d - 1]
+    return table
+
+
+@pytest.mark.parametrize("n,j", CASES)
+def test_shared_builder_keeps_the_grid_tables(n, j):
+    """Every axis on the grid N_j, with the degrees of V_j and of V_(j+1)
+    (the synthesis of a finer spectrum on a coarse grid)."""
+    geometry = SphereGeometry(n)
+    thetas, _ = quadrature.grid_axes(geometry, j)
+    for max_degree in (mra.space_degree_bound(j), mra.space_degree_bound(j + 1)):
+        for nu in range(1, n):
+            want = grid_axis_table((n - nu) / 2.0, max_degree, thetas[nu - 1])
+            got = mra._axis_table((n - nu) / 2.0, max_degree, thetas[nu - 1], np.arange(max_degree + 1))
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (max_degree, nu)
+
+
 @pytest.mark.parametrize("n,j", CASES)
 @pytest.mark.parametrize("count", [1, 50])
-def test_batched_basis_is_the_reference_bit_for_bit(n, j, count):
+def test_batched_basis_agrees_with_the_reference(n, j, count):
     """A random half of the level's rows, and three sparse sets: every third
-    row, the -1 rows alone (each without its chain's +1 row) and the last row."""
+    row, the -1 rows alone (each without its chain's +1 row) and the last
+    row.  The bound, 1e-13 of max|Y|, is about five times the largest
+    deviation; with one point, at the pole theta = 0, the -1 rows are all
+    zero and so must be the basis."""
     geometry = SphereGeometry(n)
     rng = np.random.default_rng(100 * n + 10 * j + count)
     indices = mra.space_indices(geometry, j)
@@ -60,23 +106,25 @@ def test_batched_basis_is_the_reference_bit_for_bit(n, j, count):
         got = mra._basis_at_points(geometry, mra.space_degree_bound(j), positions, points)
         want = oracle.point_basis(geometry, [indices[p] for p in positions], points)
         assert got.shape == want.shape and got.flags.c_contiguous
-        assert got.tobytes() == want.tobytes()
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-def test_synthesize_at_points_is_the_reference_product():
+def test_synthesize_at_points_is_the_basis_product():
     geometry, j = SphereGeometry(3), 3
     rng = np.random.default_rng(7)
-    size = len(mra.space_indices(geometry, j))
-    coeffs = rng.normal(size=size) + 1j * rng.normal(size=size)
-    coeffs[rng.random(size) < 0.3] = 0.0
+    indices = mra.space_indices(geometry, j)
+    coeffs = rng.normal(size=len(indices)) + 1j * rng.normal(size=len(indices))
+    coeffs[rng.random(len(indices)) < 0.3] = 0.0
     spectrum = mra.Spectrum(geometry, j, coeffs)
     points = points_with_poles(3, 20, rng)
     nonzero = np.flatnonzero(coeffs)
-    indices = [mra.space_indices(geometry, j)[p] for p in nonzero]
-    basis = oracle.point_basis(geometry, indices, points)
-    assert mra.synthesize(spectrum, points).tobytes() == (coeffs[nonzero] @ basis).tobytes()
-    single = oracle.point_basis(geometry, indices, points[5:6])
+    basis = mra._basis_at_points(geometry, mra.space_degree_bound(j), nonzero, points)
+    got = mra.synthesize(spectrum, points)
+    assert got.tobytes() == (coeffs[nonzero] @ basis).tobytes()
+    single = mra._basis_at_points(geometry, mra.space_degree_bound(j), nonzero, points[5:6])
     assert mra.synthesize(spectrum, points[5]) == complex((coeffs[nonzero] @ single)[0])
+    want = coeffs[nonzero] @ oracle.point_basis(geometry, [indices[p] for p in nonzero], points)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("n,sample", [(2, None), (3, None), (4, 400), (5, 400)])
@@ -168,29 +216,79 @@ def test_addition_kernel_keeps_the_table_bits(n):
             assert same_bits(addition_kernel(geometry, l, x, y), float(table[l])), (l, x, y)
 
 
+def mpmath_harmonic(n, ks, sign, point):
+    """Y at a point of S^n from the index chain ks = (l, k_1, ..., k_(n-1)),
+    in mpmath at the working precision: A_l^k from the Gamma functions, each
+    polar factor C sin^k / sqrt(h) and the azimuthal exponential."""
+    lam = mpmath.mpf(n - 1) / 2
+    value = mpmath.sqrt(mpmath.pi**lam / mpmath.gamma(lam + 1))
+    for nu, theta in enumerate(point.thetas, start=1):
+        d, order = ks[nu - 1] - ks[nu], mpmath.mpf(n - nu) / 2 + ks[nu]
+        h = (
+            mpmath.pi * mpmath.mpf(2) ** (1 - 2 * order) * mpmath.gamma(d + 2 * order)
+            / (mpmath.factorial(d) * (d + order) * mpmath.gamma(order) ** 2)
+        )
+        theta = mpmath.mpf(theta)
+        value *= mpmath.gegenbauer(d, order, mpmath.cos(theta)) * mpmath.sin(theta) ** ks[nu] / mpmath.sqrt(h)
+    return complex(value * mpmath.expj(sign * ks[-1] * mpmath.mpf(point.phi)))
+
+
 @pytest.mark.parametrize(
     "rows",
     [[((511, 300), -1)], [((300, 200), 1), ((300, 200), -1)]],
     ids=["one-row", "both-signs-of-one-chain"],
 )
-def test_point_synthesis_forms_only_its_rows_chain_norms(rows, monkeypatch):
+def test_point_synthesis_forms_no_chain_norms(rows, monkeypatch):
     """At S^2 j=10 (131,328 chains) a one-row spectrum, and a two-row one
-    holding both signs of one chain, form A_l^k once, with the row bits."""
+    holding both signs of one chain, evaluate without forming A_l^k.  At
+    these degrees the reference loses digits (7e-13 of max|Y| at (511,
+    (300,))), so the values are checked against mpmath."""
     geometry = SphereGeometry(2)
     entries = {HarmonicIndex(ks[0], ks[1:], sign): 0.5 - 1.5j * sign for ks, sign in rows}
     spectrum = mra.Spectrum(geometry, 10, entries)
     points = points_with_poles(2, 5, np.random.default_rng(11))
+    with mpmath.workdps(40):
+        exact = [[mpmath_harmonic(2, ks, sign, x) for x in points] for ks, sign in rows]
+    want = np.array(list(entries.values())) @ np.array(exact)
     calls = []
 
     def counted(n, ks):
         calls.append(ks)
         return _chain_normalization(n, ks)
 
-    monkeypatch.setattr(mra, "_chain_normalization", counted)
+    monkeypatch.setattr(harmonics, "_chain_normalization", counted)
     got = mra.synthesize(spectrum, points)
-    assert len(calls) == 1
-    want = np.array(list(entries.values())) @ oracle.point_basis(geometry, list(entries), points)
-    assert got.tobytes() == want.tobytes()
+    assert calls == []
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("chain", [(1023, 511), (1023, 0)])
+def test_top_rows_of_s2_j11_match_mpmath(chain):
+    """The top degree of S^2 j=11 at theta = 1, phi = 1/2: finite (forming
+    A_l^k for (1023, (511,)) overflows) and within 1e-11 relative."""
+    point = SphericalPoint((1.0,), 0.5)
+    spectrum = mra.Spectrum(SphereGeometry(2), 11, {HarmonicIndex(chain[0], chain[1:], 1): 1.0})
+    got = mra.synthesize(spectrum, point)
+    with mpmath.workdps(40):
+        want = mpmath_harmonic(2, chain, 1, point)
+    assert cmath.isfinite(got)
+    assert abs(got - want) <= 1e-11 * abs(want)
+
+
+@pytest.mark.parametrize("j", [6, 8])
+def test_batched_basis_is_no_less_accurate_than_the_reference(j):
+    """300 random rows of S^2 j=6 and j=8 at 4 random points, against mpmath."""
+    geometry = SphereGeometry(2)
+    rng = np.random.default_rng(j)
+    indices = mra.space_indices(geometry, j)
+    positions = np.sort(rng.choice(len(indices), 300, replace=False))
+    points = [SphericalPoint((float(rng.uniform(0.0, math.pi)),), float(rng.uniform(0.0, 2.0 * math.pi))) for _ in range(4)]
+    rows = [indices[p] for p in positions]
+    with mpmath.workdps(40):
+        exact = np.array([[mpmath_harmonic(2, (ix.l,) + ix.chain, ix.sign, x) for x in points] for ix in rows])
+    batched = mra._basis_at_points(geometry, mra.space_degree_bound(j), positions, points)
+    reference = oracle.point_basis(geometry, rows, points)
+    assert np.max(np.abs(batched - exact)) <= np.max(np.abs(reference - exact))
 
 
 def test_plan_cache_holds_the_pointwise_traffic():
