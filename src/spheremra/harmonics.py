@@ -10,7 +10,12 @@ plus a sign on the azimuthal frequency k_{n-1}:
             sin^{k_nu}(theta_nu)  *  exp(+/- i k_{n-1} phi).
 
 Inner products are normalized by the total measure Sigma_n of S^n, so
-<Y, Y> = 1 with A_l^k fixed by the 1-d Gegenbauer norms.
+<Y, Y> = 1 with A_l^k fixed by the 1-d Gegenbauer norms.  Values come from
+one normalised recurrence in two forms, with the constants of _axis_constants
+and one order of operations: _axis_table on arrays (mra's grids and point
+sets) and harmonic_eval on Python floats.  Neither forms A_l^k or C sin^k,
+which overflow at the top of the ladder; normalization_constant serves the
+unnormalised reference.
 
 This module alone owns the index order, lexicographic on (l, k_1, ...,
 k_{n-1}) with sign +1 before -1.  index_table lists it; index_rank places a
@@ -199,55 +204,127 @@ def enumerate_indices(geometry: SphereGeometry, max_degree: int) -> list[Harmoni
     return [HarmonicIndex(l, tuple(chain), sign) for l, *chain, sign in table]
 
 
-def _axis_order(n: int, ks: Sequence[int], nu: int) -> tuple[int, float, int]:
-    """(degree, order, sine power) of the nu-th polar factor, nu = 1..n-1,
-    of the chain ks = (k_0 = l, k_1, ..., k_(n-1)) on S^n."""
-    return ks[nu - 1] - ks[nu], (n - nu) / 2.0 + ks[nu], ks[nu]
-
-
 def _check_index(n: int, index: HarmonicIndex) -> None:
     if len(index.chain) != n - 1:
         raise ValueError(f"index chain length {len(index.chain)} incompatible with S^{n}")
-
-
-@lru_cache(maxsize=1024)
-def _log_norm_1d(degree: int, lam: float) -> float:
-    return math.log(gegenbauer_norm_1d(GegenbauerParams(lam, degree)))
 
 
 def _chain_normalization(n: int, ks: Sequence[int]) -> float:
     """A_l^k from the chain (k_0 = l, k_1, ..., k_(n-1)) on S^n."""
     log_a2 = math.log(total_measure(n)) - math.log(2.0 * math.pi)
     for nu in range(1, n):
-        log_a2 -= _log_norm_1d(ks[nu - 1] - ks[nu], (n - nu) / 2.0 + ks[nu])
+        log_a2 -= math.log(gegenbauer_norm_1d(GegenbauerParams((n - nu) / 2.0 + ks[nu], ks[nu - 1] - ks[nu])))
     return math.exp(0.5 * log_a2)
 
 
-# Pointwise traffic, every index of degree <= 8 on S^2, S^3 and S^4, is
-# 81 + 285 + 825 = 1191 plans; the bound also holds S^5's 2079 besides them,
-# since a sweep that cycles through more plans than the bound misses on
-# every call.
+def normalization_constant(geometry: SphereGeometry, index: HarmonicIndex) -> float:
+    """A_l^k making Y_l^k a unit vector in the Sigma_n-normalized inner product:
+    A^2 = Sigma_n / (2 pi prod_nu h(k_{nu-1} - k_nu, (n-nu)/2 + k_nu)), in log space."""
+    _check_index(geometry.n, index)
+    return _chain_normalization(geometry.n, (index.l,) + index.chain)
+
+
+# ---------------------------------------------------------------------------
+# the normalised recurrence: its constants, the table form and the scalar form
+
+def _harmonic_scale(geometry: SphereGeometry) -> float:
+    """sqrt(Sigma_n / 2 pi): the part of A_l^k that no polar factor carries."""
+    return math.sqrt(geometry.measure / (2.0 * math.pi))
+
+
+def _step_up(d, lam, sqrt=np.sqrt):
+    """up in the step P_(d+1) = up t P_d - down P_(d-1) at order lam; on floats pass math.sqrt."""
+    return 2.0 * sqrt((d + lam) * (d + lam + 1.0) / ((d + 1.0) * (d + 2.0 * lam)))
+
+
+def _step_down(d, lam, sqrt=np.sqrt):
+    """down in that step, d >= 1."""
+    return sqrt(d * (d + 2.0 * lam - 1.0) * (d + lam + 1.0) / ((d + 1.0) * (d + 2.0 * lam) * (d + lam - 1.0)))
+
+
+# Pointwise traffic (S^2 to S^4, k_nu + degree <= 8) is 3 * 45 keys; a table adds one per axis.
+@lru_cache(maxsize=1024)
+def _axis_constants(base_order: float, order: int, degree: int) -> tuple:
+    """_axis_table's constants for one polar factor, as Python floats: the
+    diagonal's start 1/sqrt(h(0, base_order)) and its ratios sqrt((lam+1)/(lam+1/2))
+    from order b-1 to b, lam = base_order + b - 1, b = 1..order; then (up, down)
+    per degree step, down = 0 at the first (0 * 0 keeps the bits)."""
+    start = 1.0 / math.sqrt(gegenbauer_norm_1d(GegenbauerParams(base_order, 0)))
+    ratios = tuple(math.sqrt((base_order + b + 1.0) / (base_order + b + 0.5)) for b in range(order))
+    lam = base_order + order
+    return start, ratios, tuple(
+        (_step_up(d, lam, math.sqrt), _step_down(d, lam, math.sqrt) if d else 0.0) for d in range(degree)
+    )
+
+
+def _axis_table(base_order: float, max_degree: int, thetas: np.ndarray, orders: np.ndarray) -> np.ndarray:
+    """Normalised polar factors of one axis, T[i, a, s] for the ascending
+    orders b = orders[i] (values of k_nu) and degrees a = k_(nu-1) up to
+    max_degree:
+
+        C_(a-b)^(base_order+b)(cos theta_s) sin^b(theta_s) / sqrt(h(a-b, base_order+b)),
+
+    zero where a < b.  Both recurrences run on normalised values (the
+    diagonal through h(0, lam) / h(0, lam+1) = (lam+1)/(lam+1/2) for every
+    b up to the largest order, the degree through the normalised three-term
+    recurrence for the given orders alone), so the unnormalised product
+    C sin^b, which overflows and underflows at high degree, never appears.
+    At step d the orders with room below max_degree are a prefix of `orders`.
+    """
+    size, count = max_degree + 1, len(orders)
+    t, sine = np.cos(thetas), np.sin(thetas)
+    start, ratios, _ = _axis_constants(base_order, int(orders[-1]), 0)
+    diagonal = np.empty((orders[-1] + 1, len(thetas)))
+    diagonal[0] = start
+    for b, ratio in enumerate(ratios, start=1):
+        diagonal[b] = diagonal[b - 1] * sine * ratio
+    table = np.zeros((count, size, len(thetas)))
+    # rows of the flat view: (i, a) sits at i * size + a, so (i, orders[i] + d) at starts + d
+    flat = table.reshape(count * size, len(thetas))
+    starts = np.arange(count) * size + orders
+    flat[starts] = diagonal[orders]
+    lams = base_order + orders
+    room = np.searchsorted(orders, max_degree - np.arange(max_degree - orders[0]))
+    for d, c in enumerate(room.tolist()):
+        # degree d -> d+1 for the first c orders, the ones below max_degree - d
+        at, lb = starts[:c] + d, lams[:c]
+        flat[at + 1] = _step_up(d, lb)[:, None] * t * flat[at]
+        if d:
+            flat[at + 1] -= _step_down(d, lb)[:, None] * flat[at - 1]
+    return table
+
+
+# Pointwise traffic, degree <= 8 on S^2, S^3 and S^4, is 81 + 285 + 825 = 1191
+# plans; the bound holds S^5's 2079 besides (a sweep past the bound always misses).
 @lru_cache(maxsize=4096)
-def _plan(n: int, index: HarmonicIndex) -> tuple[float, tuple[tuple[int, float, int], ...], complex]:
-    """What one harmonic's value needs from its index alone: A_l^k, the
-    (degree, order, sine power) of each polar factor nu = 1..n-1 and the
-    azimuthal rate 1j * sign * k_(n-1).  The rate is formed left to right
-    as azimuth_profile forms it: 1j * (sign * k) would turn the sign of a
-    zero at a pole.  An index of the wrong chain length raises and is not
-    cached."""
+def _plan(n: int, index: HarmonicIndex) -> tuple[float, tuple, int]:
+    """What one harmonic's value needs from its index alone: sqrt(Sigma_n /
+    2 pi), the _axis_constants of each polar factor nu = 1..n-1 and the
+    signed azimuthal frequency.  An index of the wrong chain length raises
+    and is not cached."""
     _check_index(n, index)
     ks = (index.l,) + index.chain
-    axes = tuple(_axis_order(n, ks, nu) for nu in range(1, n))
-    return _chain_normalization(n, ks), axes, 1j * index.sign * index.chain[-1]
+    axes = tuple(_axis_constants((n - nu) / 2.0, ks[nu], ks[nu - 1] - ks[nu]) for nu in range(1, n))
+    return _harmonic_scale(SphereGeometry(n)), axes, index.sign * index.chain[-1]
 
 
-def normalization_constant(geometry: SphereGeometry, index: HarmonicIndex) -> float:
-    """A_l^k making Y_l^k a unit vector in the Sigma_n-normalized inner product.
-
-    A^2 = Sigma_n / (2 pi prod_nu h(k_{nu-1} - k_nu, (n-nu)/2 + k_nu)).
-    Computed in log space; the azimuthal factor contributes the bare 2 pi.
-    """
-    return _plan(geometry.n, index)[0]
+def harmonic_eval(geometry: SphereGeometry, index: HarmonicIndex, point: SphericalPoint) -> complex:
+    """Value of Y_l^k at a point of S^n: _axis_table's recurrences on Python
+    floats, per polar angle up to the degree that angle needs, in the order
+    of operations of mra's batched point basis, whose values it gives."""
+    scale, axes, frequency = _plan(geometry.n, index)
+    if point.n != geometry.n:
+        raise ValueError(f"point on S^{point.n} passed for S^{geometry.n}")
+    value = scale * cmath.exp(1j * (frequency * point.phi))
+    for (start, ratios, steps), theta in zip(axes, point.thetas):
+        t, sine = math.cos(theta), math.sin(theta)
+        prev, cur = 0.0, start
+        for ratio in ratios:
+            cur = cur * sine * ratio
+        for up, down in steps:
+            prev, cur = cur, up * t * cur - down * prev
+        value *= cur
+    return value
 
 
 def axis_profile(geometry: SphereGeometry, index: HarmonicIndex, nu: int, thetas) -> np.ndarray:
@@ -255,7 +332,8 @@ def axis_profile(geometry: SphereGeometry, index: HarmonicIndex, nu: int, thetas
     array of angles (normalization not included)."""
     _check_index(geometry.n, index)
     thetas = np.asarray(thetas, dtype=float)
-    d, lam_nu, k_nu = _axis_order(geometry.n, (index.l,) + index.chain, nu)
+    n, ks = geometry.n, (index.l,) + index.chain
+    d, lam_nu, k_nu = ks[nu - 1] - ks[nu], (n - nu) / 2.0 + ks[nu], ks[nu]
     values = gegenbauer_table(lam_nu, d, np.cos(thetas))[d]
     if k_nu:
         values = values * np.sin(thetas) ** k_nu
@@ -266,21 +344,6 @@ def azimuth_profile(index: HarmonicIndex, phis) -> np.ndarray:
     """exp(sign * i k_{n-1} phi) on an array of azimuths."""
     phis = np.asarray(phis, dtype=float)
     return np.exp(1j * index.sign * index.chain[-1] * phis)
-
-
-def harmonic_eval(
-    geometry: SphereGeometry, index: HarmonicIndex, point: SphericalPoint
-) -> complex:
-    """Value of Y_l^k at a point of S^n, on Python floats: one recurrence
-    per polar angle, up to the degree that angle needs.  The index's
-    constants come from its cached plan."""
-    value, axes, rate = _plan(geometry.n, index)
-    if point.n != geometry.n:
-        raise ValueError(f"point on S^{point.n} passed for S^{geometry.n}")
-    for (d, lam_nu, k_nu), theta in zip(axes, point.thetas):
-        *_, factor = gegenbauer_sequence(lam_nu, d, math.cos(theta))
-        value *= factor * math.sin(theta) ** k_nu
-    return value * cmath.exp(rate * point.phi)
 
 
 def addition_kernel(geometry: SphereGeometry, l: int, x: SphericalPoint, y: SphericalPoint) -> float:

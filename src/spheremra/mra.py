@@ -28,15 +28,9 @@ level pair (j_spec, j_grid) needs, the weights, tables, dense positions,
 azimuth bins and stride 2^r, is one read-only plan in a bounded cache; the
 node-cap guard runs once per call, before and outside it.
 
-Evaluation at scattered points (synthesize, with it localization_check, and
-verify's synthesis records) reads the grids' normalised factors: one
-exponential per distinct signed azimuthal frequency, times
-sqrt(Sigma_n / 2 pi), and per polar axis one _axis_table over the points,
-built for the orders k_nu the requested rows hold up to their largest
-k_(nu-1), from which each row gathers T[k_nu, k_(nu-1)].  A_l^k is never
-formed, so no factor overflows at the top of the ladder.  It reads no plan
-and keeps no cache: the chains and signed frequencies are the rows of
-index_table at the requested positions.
+Evaluation at scattered points (synthesize, localization_check and verify's
+synthesis records) reads the same normalised factors, harmonics._axis_table
+over the points; see _basis_at_points.
 
 A Spectrum is one coefficient vector on I_j in enumeration order (a mapping
 from HarmonicIndex to value is accepted and only its own indices ranked).
@@ -66,6 +60,8 @@ from .harmonics import (
     HarmonicIndex,
     SphereGeometry,
     SphericalPoint,
+    _axis_table,
+    _harmonic_scale,
     dim_pi,
     enumerate_indices,
     index_rank,
@@ -74,9 +70,7 @@ from .harmonics import (
 from .quadrature import (
     _NODE_CAP_ENV, checked_grid_shape, grid_axes, grid_shape, level_weights, node_cap,
 )
-from .specfun import (
-    GegenbauerParams, ZonalSpectrum, gegenbauer_norm_1d, zonal_eval,
-)
+from .specfun import ZonalSpectrum, zonal_eval
 
 __all__ = [
     "Spectrum",
@@ -240,50 +234,6 @@ def wavelet_frame_constant(geometry: SphereGeometry, j: int) -> float:
 # ---------------------------------------------------------------------------
 # separable transform on grids
 
-def _axis_table(
-    base_order: float, max_degree: int, thetas: np.ndarray, orders: np.ndarray
-) -> np.ndarray:
-    """Normalised polar factors of one axis, T[i, a, s] for the ascending
-    orders b = orders[i] (values of k_nu) and degrees a = k_(nu-1) up to
-    max_degree:
-
-        C_(a-b)^(base_order+b)(cos theta_s) sin^b(theta_s) / sqrt(h(a-b, base_order+b)),
-
-    zero where a < b.  Both recurrences run on normalised values (the
-    diagonal through h(0, lam) / h(0, lam+1) = (lam+1)/(lam+1/2) for every
-    b up to the largest order, the degree through the normalised three-term
-    recurrence for the given orders alone), so the unnormalised product
-    C sin^b, which overflows and underflows at high degree, never appears.
-    At step d the orders with room below max_degree are a prefix of `orders`.
-    """
-    size, count = max_degree + 1, len(orders)
-    t, sine = np.cos(thetas), np.sin(thetas)
-    diagonal = np.empty((orders[-1] + 1, len(thetas)))
-    diagonal[0] = 1.0 / math.sqrt(gegenbauer_norm_1d(GegenbauerParams(base_order, 0)))
-    for b in range(1, len(diagonal)):
-        lam = base_order + (b - 1)
-        diagonal[b] = diagonal[b - 1] * sine * math.sqrt((lam + 1.0) / (lam + 0.5))
-    table = np.zeros((count, size, len(thetas)))
-    # rows of the flat view: (i, a) sits at i * size + a, so (i, orders[i] + d) at starts + d
-    flat = table.reshape(count * size, len(thetas))
-    starts = np.arange(count) * size + orders
-    flat[starts] = diagonal[orders]
-    lams = base_order + orders
-    room = np.searchsorted(orders, max_degree - np.arange(max_degree - orders[0]))
-    for d, c in enumerate(room.tolist()):
-        # degree d -> d+1 for the first c orders, the ones below max_degree - d
-        at, lb = starts[:c] + d, lams[:c]
-        up = 2.0 * np.sqrt((d + lb) * (d + lb + 1.0) / ((d + 1.0) * (d + 2.0 * lb)))
-        flat[at + 1] = up[:, None] * t * flat[at]
-        if d:
-            down = np.sqrt(
-                d * (d + 2.0 * lb - 1.0) * (d + lb + 1.0)
-                / ((d + 1.0) * (d + 2.0 * lb) * (d + lb - 1.0))
-            )
-            flat[at + 1] -= down[:, None] * flat[at - 1]
-    return table
-
-
 def _plan(geometry: SphereGeometry, j_spec: int, j_grid: int) -> tuple:
     """The level pair's plan (see _plan_cached), after the node-cap guard,
     which runs once and outside the plan cache."""
@@ -330,17 +280,14 @@ def _contract(table: np.ndarray, x: np.ndarray, transpose: bool) -> np.ndarray:
     return out.view(complex).reshape(b, -1, p, r).transpose(2, 1, 0, 3)
 
 
-def _harmonic_scale(geometry: SphereGeometry) -> float:
-    """sqrt(Sigma_n / 2 pi): the part of A_l^k that no polar table carries."""
-    return math.sqrt(geometry.measure / (2.0 * math.pi))
-
-
 def _basis_at_points(
     geometry: SphereGeometry, max_degree: int, positions: np.ndarray, points: Sequence[SphericalPoint]
 ) -> np.ndarray:
     """B[i, p] = Y_i at points[p] for the indices at `positions` (enumeration
-    order, degree <= max_degree): the grid's normalised factors gathered per
-    index (see the module docstring)."""
+    order, degree <= max_degree), the values of harmonic_eval: sqrt(Sigma_n /
+    2 pi) times one exponential per distinct signed frequency, then per polar
+    axis T[k_nu, k_(nu-1)] gathered from one _axis_table over the points for
+    the orders these rows hold.  It reads no grid plan and keeps no array."""
     n = geometry.n
     for p in points:
         if p.n != n:

@@ -88,7 +88,7 @@ def _var_space(spec: ZonalSpectrum, energy: float) -> float:
         log_b = _log_binom(l + 2.0 * lam, l)
         pair = 2.0 * (np.conj(coeffs[l]) * coeffs[l + 1]).real
         cross_terms.append(
-            math.exp(log_b) * lam**2 * pair / ((l + lam) * (l + lam + 1.0))
+            math.exp(log_b) * (lam * lam) * pair / ((l + lam) * (l + lam + 1.0))
         )
     denom = math.fsum(cross_terms)
     if abs(denom) < 1e-14 * energy:

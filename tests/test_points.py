@@ -1,10 +1,10 @@
 """Point evaluation: the polar table builder that grids and points share,
 kept to the grid's bits; the batched basis of mra against the per-index
 reference of the oracle on dense and sparse rows and against mpmath at the
-top of the S^2 ladder; the chain normalisations a point synthesis does not
-form; harmonic_eval against the same reference and, bit for bit, against
-its own loop before the plan cache, that cache's bound, and the grid caches
-that point evaluation may not touch."""
+top of the S^2 ladder; the chain normalisations neither a point synthesis
+nor harmonic_eval forms; harmonic_eval against the same reference and, as
+floats, against the batched basis, the bounds of its plan and axis-constant
+caches, and the grid caches that point evaluation may not touch."""
 
 import cmath
 import math
@@ -25,7 +25,7 @@ from spheremra.harmonics import (
     harmonic_eval,
     normalization_constant,
 )
-from spheremra.specfun import GegenbauerParams, gegenbauer_norm_1d, gegenbauer_sequence, gegenbauer_table
+from spheremra.specfun import GegenbauerParams, gegenbauer_norm_1d, gegenbauer_table
 
 
 def points_with_poles(n, count, rng):
@@ -130,9 +130,9 @@ def test_synthesize_at_points_is_the_basis_product():
 @pytest.mark.parametrize("n,sample", [(2, None), (3, None), (4, 400), (5, 400)])
 def test_harmonic_eval_matches_the_reference(n, sample):
     """Every index of degree <= 12 on S^2 and S^3, a random 400 on S^4 and
-    S^5, at random points and at both poles.  The relative bound holds down
-    to the smallest normal number; below it (sin(pi)^k at the pole) the
-    spacing of the subnormals is absolute."""
+    S^5, at random points and at both poles, within the batched basis's
+    bound, 1e-13 of max|Y|: the reference, an unnormalised product, is
+    itself off by up to 5e-14 of a row's max|Y| at S^5 degree 12."""
     geometry = SphereGeometry(n)
     rng = np.random.default_rng(40 + n)
     indices = enumerate_indices(geometry, 12)
@@ -141,7 +141,7 @@ def test_harmonic_eval_matches_the_reference(n, sample):
     points = points_with_poles(n, 4, rng)
     want = oracle.point_basis(geometry, indices, points)
     got = np.array([[harmonic_eval(geometry, ix, x) for x in points] for ix in indices])
-    assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want) + np.finfo(float).tiny)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_point_evaluation_leaves_the_grid_caches_alone():
@@ -160,18 +160,6 @@ def test_point_evaluation_leaves_the_grid_caches_alone():
     for ix in enumerate_indices(geometry, 5):
         harmonic_eval(geometry, ix, points[1])
     assert [cache.cache_info() for cache in caches] == before
-
-
-def loop_harmonic_eval(geometry, index, point):
-    """harmonic_eval as it was before the plan cache, verbatim: every value
-    of the cached evaluator must carry these bits."""
-    n, ks = geometry.n, (index.l,) + index.chain
-    value = _chain_normalization(n, ks)
-    for nu, theta in enumerate(point.thetas, start=1):
-        d, lam_nu, k_nu = ks[nu - 1] - ks[nu], (n - nu) / 2.0 + ks[nu], ks[nu]
-        *_, factor = gegenbauer_sequence(lam_nu, d, math.cos(theta))
-        value *= factor * math.sin(theta) ** k_nu
-    return value * cmath.exp(1j * index.sign * index.chain[-1] * point.phi)
 
 
 def same_bits(a, b):
@@ -194,13 +182,18 @@ def points_with_axes(n, count, rng):
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_harmonic_eval_keeps_the_loop_bits(n):
+def test_harmonic_eval_is_the_batched_basis(n):
+    """Every index of degree <= 8, at seeded points and with every axis at
+    theta = 0, pi/2 and pi: the scalar and the batched form of one recurrence
+    give the same floats (a sign of zero may differ where a pole underflows)."""
     geometry = SphereGeometry(n)
     points = points_with_axes(n, 3, np.random.default_rng(70 + n))
-    for ix in enumerate_indices(geometry, 8):
+    indices = enumerate_indices(geometry, 8)
+    basis = mra._basis_at_points(geometry, 8, np.arange(len(indices)), points)
+    for i, ix in enumerate(indices):
         assert normalization_constant(geometry, ix) == _chain_normalization(n, (ix.l,) + ix.chain)
-        for x in points:
-            assert same_bits(harmonic_eval(geometry, ix, x), loop_harmonic_eval(geometry, ix, x)), (ix, x)
+        for p, x in enumerate(points):
+            assert harmonic_eval(geometry, ix, x) == basis[i, p], (ix, x)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -264,15 +257,30 @@ def test_point_synthesis_forms_no_chain_norms(rows, monkeypatch):
 
 @pytest.mark.parametrize("chain", [(1023, 511), (1023, 0)])
 def test_top_rows_of_s2_j11_match_mpmath(chain):
-    """The top degree of S^2 j=11 at theta = 1, phi = 1/2: finite (forming
+    """The top degree of S^2 j=11 at theta = 1, phi = 1/2, through the
+    batched basis (mra.synthesize) and through harmonic_eval: finite (forming
     A_l^k for (1023, (511,)) overflows) and within 1e-11 relative."""
-    point = SphericalPoint((1.0,), 0.5)
-    spectrum = mra.Spectrum(SphereGeometry(2), 11, {HarmonicIndex(chain[0], chain[1:], 1): 1.0})
-    got = mra.synthesize(spectrum, point)
+    geometry, point, index = SphereGeometry(2), SphericalPoint((1.0,), 0.5), HarmonicIndex(chain[0], chain[1:], 1)
     with mpmath.workdps(40):
         want = mpmath_harmonic(2, chain, 1, point)
-    assert cmath.isfinite(got)
-    assert abs(got - want) <= 1e-11 * abs(want)
+    for got in (mra.synthesize(mra.Spectrum(geometry, 11, {index: 1.0}), point), harmonic_eval(geometry, index, point)):
+        assert cmath.isfinite(got)
+        assert abs(got - want) <= 1e-11 * abs(want)
+
+
+def test_harmonic_eval_forms_no_chain_norms(monkeypatch):
+    """Cold plans for every index of degree <= 6 on S^2 to S^5 and for the
+    top S^2 j=11 row call _chain_normalization zero times."""
+    calls = []
+    monkeypatch.setattr(harmonics, "_chain_normalization", lambda n, ks: calls.append(ks))
+    harmonics._plan.cache_clear()
+    for n in (2, 3, 4, 5):
+        geometry = SphereGeometry(n)
+        point = SphericalPoint((0.4,) * (n - 1), 0.5)
+        for ix in enumerate_indices(geometry, 6):
+            harmonic_eval(geometry, ix, point)
+    harmonic_eval(SphereGeometry(2), HarmonicIndex(1023, (511,), 1), SphericalPoint((1.0,), 0.5))
+    assert calls == []
 
 
 @pytest.mark.parametrize("j", [6, 8])
@@ -304,6 +312,22 @@ def test_plan_cache_holds_the_pointwise_traffic():
     info = harmonics._plan.cache_info()
     assert info.currsize == 81 + 285 + 825 == 1191
     assert info.maxsize > 1191
+
+
+def test_axis_constant_cache_holds_the_pointwise_traffic():
+    """The same traffic needs one key per (base order, k_nu, degree), 45 per
+    base order 1/2, 1 and 3/2; each is built once, so none is evicted."""
+    harmonics._plan.cache_clear()
+    harmonics._axis_constants.cache_clear()
+    point = SphericalPoint((0.3, 0.7, 1.1), 0.5)
+    for n in (2, 3, 4):
+        geometry = SphereGeometry(n)
+        x = SphericalPoint(point.thetas[: n - 1], point.phi)
+        for ix in enumerate_indices(geometry, 8):
+            harmonic_eval(geometry, ix, x)
+    info = harmonics._axis_constants.cache_info()
+    assert info.currsize == info.misses == 3 * 45
+    assert info.maxsize > 3 * 45
 
 
 def test_plan_cache_keeps_every_check():
